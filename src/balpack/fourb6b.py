@@ -11,8 +11,7 @@ bits.
 from __future__ import annotations
 
 from .errors import CorruptPacketError, InvalidSextetError
-from .knuth import ceil_log2
-from .subsets import Packet, Scheme, decode_packet, encode_packet
+from .subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
 from .words import check_word, invert_prefix, is_balanced
 
 #: Suffix naming the inversion index, keyed by the nibble's first bit.
@@ -76,8 +75,7 @@ def balance_prefix(prefix: str) -> str:
 
 def encoded_prefix_bits(k: int) -> int:
     """Bits the balanced prefix occupies for block length ``k``."""
-    r = ceil_log2(k // 2)
-    return 6 * ((r + 3) // 4)
+    return prefix_length(k, Scheme.PROPOSED_FULL)
 
 
 def full_encode(x: str) -> Packet:
@@ -91,19 +89,17 @@ def full_encode(x: str) -> Packet:
     k = len(x)
     if ranked.bit_length == k:
         return ranked
-    r = ceil_log2(k // 2)
+    r = prefix_length(k, Scheme.PROPOSED_FL)
     return Packet(balance_prefix(ranked.bits[:r]) + ranked.bits[r:])
 
 
 def full_decode(p: Packet, k: int) -> str:
     """Invert :func:`full_encode` for block length ``k``."""
-    if k % 2 or k < 4:
-        raise ValueError(f"block length must be even >= 4, got {k}")
+    nbits = encoded_prefix_bits(k)
     if p.bit_length == k:
         if not is_balanced(p.bits):
             raise CorruptPacketError(f"prefix-less payload {p.bits!r} is not balanced")
         return p.bits
-    nbits = encoded_prefix_bits(k)
     if p.bit_length != nbits + k:
         raise CorruptPacketError(
             f"expected {nbits + k} bits ({nbits}-bit balanced prefix + {k}), "
@@ -111,7 +107,7 @@ def full_decode(p: Packet, k: int) -> str:
         )
     encoded, y = p.bits[:nbits], p.bits[nbits:]
     padded = "".join(decode_sextet(encoded[i : i + 6]) for i in range(0, nbits, 6))
-    r = ceil_log2(k // 2)
+    r = prefix_length(k, Scheme.PROPOSED_FL)
     prefix, pad = padded[:r], padded[r:]
     if pad.strip("0"):
         raise CorruptPacketError(f"prefix padding bits are not zero: {pad!r}")

@@ -15,6 +15,7 @@ from typing import Callable, Iterable, TextIO
 
 from .counting import subset_size_count
 from .knuth import ceil_log2
+from .subsets import Scheme, prefix_length
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,8 @@ def balanced_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, float, float,
 
 def integer_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, int, int, int]]:
     """Rounded-up fixed prefix lengths: Knuth, baseline, compressed."""
-    out = []
-    for k in k_list:
-        _check_k(k)
-        out.append((k, ceil_log2(k), ceil_log2(k // 2 + 1), ceil_log2(k // 2)))
-    return out
+    schemes = (Scheme.KNUTH, Scheme.BASELINE_FL, Scheme.PROPOSED_FL)
+    return [(k, *(prefix_length(k, s) for s in schemes)) for k in k_list]
 
 
 def count_rows(k_list: Iterable[int]) -> list[tuple[int, int, int]]:

@@ -7,6 +7,15 @@ channel (explicit end-of-packet), already balanced words travel with no
 prefix at all and the balanced member can be dropped from every subset,
 which caps the subset size at k/2 instead of k/2 + 1.
 
+Rank and unrank read y's running sums d_1..d_k in one O(k) pass, with no
+cache.  x_j = invert_prefix(y, j) has partial sums -d_1..-d_j and balancing
+target -d_j, so it is a member exactly when j is the first index at which d
+reaches the level d_j: the strict new maxima and minima of d give the
+unbalanced members, the first return to zero the balanced one.  Members
+x_j1, x_j2 with j1 < j2 first differ at bit j1 + 1, so x_j1 sorts first
+exactly when that bit of y is 0.  The explicit O(k^2) listings of
+:func:`subset_members` are the specification for tests and self-checks.
+
 Schemes
 -------
 KNUTH         inversion-index prefix, ceil(log2 k) bits
@@ -21,6 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import CorruptPacketError
 from .knuth import ceil_log2, ka_encode
@@ -124,6 +134,38 @@ def subset_size_rds(y: str) -> int:
     return hi - lo
 
 
+def member_order(y: str) -> list[int]:
+    """Inversion lengths of the balanced word ``y``'s subset, in listing order.
+
+    ``invert_prefix(y, member_order(y)[r])`` is member ``r`` of the
+    uncompressed listing.  Its last entry is the balanced member; without
+    it the list is the compressed listing, so lambda is one less than its
+    length.
+    """
+    d = list(accumulate(map({"0": -1, "1": 1}.__getitem__, y), initial=0))
+    visits = []
+    for levels in (range(1, max(d) + 1), range(-1, min(d) - 1, -1)):
+        j = 0
+        for level in levels:  # unit steps reach each new level after the last
+            j = d.index(level, j)
+            visits.append(j)
+    visits.sort()
+    # x_j sorts before every later member exactly when y[j] (bit j+1) is 0
+    return (
+        [j for j in visits if y[j] == "0"]
+        + [j for j in reversed(visits) if y[j] == "1"]
+        + [d.index(0, 1)]
+    )
+
+
+def _check_k(k: int, scheme: Scheme) -> None:
+    if k % 2 or k < 2:
+        raise ValueError(f"block length must be even >= 2, got {k}")
+    if k < 4 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
+        raise ValueError(f"{scheme.name} needs k >= 4 (a zero-bit rank prefix at k={k} "
+                         "would collide with the prefix-less balanced case)")
+
+
 def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
     """Prefix bit count for a scheme at block length ``k``.
 
@@ -131,8 +173,7 @@ def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
     The variable-length rule keeps a 1-bit floor for unbalanced words so a
     rank prefix can never be confused with the prefix-less balanced case.
     """
-    if k % 2 or k < 4:
-        raise ValueError(f"prefix lengths are defined for even k >= 4, got {k}")
+    _check_k(k, scheme)
     if scheme is Scheme.PROPOSED_VL:
         if lam is None:
             raise ValueError("PROPOSED_VL prefix length needs the subset size")
@@ -148,25 +189,15 @@ def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
     if scheme is Scheme.PROPOSED_FL:
         return ceil_log2(k // 2)
     if scheme is Scheme.PROPOSED_FULL:
-        r = ceil_log2(k // 2)
-        return 6 * ((r + 3) // 4)
+        return 6 * ((ceil_log2(k // 2) + 3) // 4)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _check_block(x: str, scheme: Scheme) -> int:
-    check_word(x)
-    k = len(x)
-    if k % 2 or k < 2:
-        raise ValueError(f"block length must be even >= 2, got {k}")
-    if k < 4 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
-        raise ValueError(f"{scheme.name} needs k >= 4 (a zero-bit rank prefix at k={k} "
-                         "would collide with the prefix-less balanced case)")
-    return k
 
 
 def encode_packet(x: str, scheme: Scheme) -> Packet:
     """Encode one information word into a self-contained packet."""
-    k = _check_block(x, scheme)
+    check_word(x)
+    k = len(x)
+    _check_k(k, scheme)
     if scheme is Scheme.PROPOSED_FULL:
         from . import fourb6b  # deferred: fourb6b builds on this module
 
@@ -177,17 +208,10 @@ def encode_packet(x: str, scheme: Scheme) -> Packet:
         return Packet(x)
     e = first_balancing_index(x)
     y = invert_prefix(x, e)
-    listing = _members(y, includes_balanced=True)
-    rank = listing.index(x)
-    if scheme is Scheme.BASELINE_FL:
-        nbits = ceil_log2(k // 2 + 1)
-    elif scheme is Scheme.PROPOSED_FL:
-        nbits = ceil_log2(k // 2)
-    elif scheme is Scheme.PROPOSED_VL:
-        lam = len(listing) - 1
-        nbits = max(1, ceil_log2(lam))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    order = member_order(y)
+    rank = order.index(e)
+    lam = len(order) - 1 if scheme is Scheme.PROPOSED_VL else None
+    nbits = prefix_length(k, scheme, lam)
     assert rank < (1 << nbits), "rank cannot exceed its prefix space"
     return Packet(format(rank, f"0{nbits}b") + y)
 
@@ -203,56 +227,38 @@ def _split_ranked(p: Packet, k: int, nbits: int) -> tuple[int, str]:
     return int(prefix, 2), y
 
 
-def _member_at(y: str, rank: int, includes_balanced: bool) -> str:
-    listing = _members(y, includes_balanced)
-    if rank >= len(listing):
-        raise CorruptPacketError(
-            f"rank {rank} outside subset of size {len(listing)} for {y!r}"
-        )
-    return listing[rank]
-
-
 def decode_packet(p: Packet, k: int, scheme: Scheme) -> str:
     """Decode one packet back to its information word.
 
     The packet's bit length stands in for the end-of-packet marker, so the
     variable-length scheme learns its prefix length from ``bit_length - k``.
     """
-    if k % 2 or k < 2:
-        raise ValueError(f"block length must be even >= 2, got {k}")
-    if k < 4 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
-        raise ValueError(f"{scheme.name} needs k >= 4")
     if scheme is Scheme.PROPOSED_FULL:
         from . import fourb6b
 
         return fourb6b.full_decode(p, k)
     if scheme is Scheme.KNUTH:
-        rank, y = _split_ranked(p, k, ceil_log2(k))
+        rank, y = _split_ranked(p, k, prefix_length(k, scheme))
         e = rank + 1
         if e > k:
             raise CorruptPacketError(f"inversion index {e} exceeds k={k}")
         return invert_prefix(y, e)
+    _check_k(k, scheme)
     if scheme in PREFIX_LESS_SCHEMES and p.bit_length == k:
         if not is_balanced(p.bits):
             raise CorruptPacketError(f"prefix-less payload {p.bits!r} is not balanced")
         return p.bits
-    if scheme is Scheme.BASELINE_FL:
-        rank, y = _split_ranked(p, k, ceil_log2(k // 2 + 1))
-        return _member_at(y, rank, includes_balanced=True)
-    if scheme is Scheme.PROPOSED_FL:
-        rank, y = _split_ranked(p, k, ceil_log2(k // 2))
-        return _member_at(y, rank, includes_balanced=False)
-    if scheme is Scheme.PROPOSED_VL:
-        nbits = p.bit_length - k
-        if nbits < 1:
-            raise CorruptPacketError(
-                f"packet of {p.bit_length} bits is too short for k={k}"
-            )
-        rank, y = _split_ranked(p, k, nbits)
-        lam = len(_members(y, includes_balanced=False))
-        if nbits != max(1, ceil_log2(lam)):
-            raise CorruptPacketError(
-                f"{nbits}-bit prefix inconsistent with subset size {lam} of {y!r}"
-            )
-        return _member_at(y, rank, includes_balanced=False)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    nbits = p.bit_length - k if scheme is Scheme.PROPOSED_VL else prefix_length(k, scheme)
+    if nbits < 1:
+        raise CorruptPacketError(f"packet of {p.bit_length} bits is too short for k={k}")
+    rank, y = _split_ranked(p, k, nbits)
+    order = member_order(y)
+    lam = len(order) - 1
+    if scheme is Scheme.PROPOSED_VL and nbits != prefix_length(k, scheme, lam):
+        raise CorruptPacketError(
+            f"{nbits}-bit prefix inconsistent with subset size {lam} of {y!r}"
+        )
+    size = len(order) if scheme is Scheme.BASELINE_FL else lam
+    if rank >= size:
+        raise CorruptPacketError(f"rank {rank} outside subset of size {size} for {y!r}")
+    return invert_prefix(y, order[rank])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balpack import subsets
 from balpack.cli import main
 from balpack.counting import subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
@@ -23,6 +24,7 @@ from balpack.stream import (
     selfcheck,
 )
 from balpack.subsets import Scheme, encode_packet
+from balpack.words import is_balanced
 
 ALL_SCHEMES = list(Scheme)
 
@@ -110,6 +112,21 @@ def test_roundtrip_random_10k_bits(scheme, k):
 def test_roundtrip_random_inputs(scheme, k, bits):
     stream = frame_stream(bits, k, scheme, pad_mode=True)
     assert deframe_stream(stream) == bits
+
+
+@pytest.mark.parametrize("scheme", [s for s in ALL_SCHEMES if s is not Scheme.KNUTH])
+def test_roundtrip_at_header_block_length_limit(monkeypatch, scheme):
+    # 65534 is the largest even k the 16-bit header field holds; the
+    # explicit O(k^2) listings must stay out of reach at this size.
+    def listing_forbidden(*args, **kwargs):
+        raise AssertionError("the codec built an explicit subset listing")
+
+    monkeypatch.setattr(subsets, "_members", listing_forbidden)
+    k = 65534
+    unbalanced = format(random.Random(k).getrandbits(k), f"0{k}b")
+    assert not is_balanced(unbalanced)
+    bits = "10" * (k // 2) + unbalanced
+    assert deframe_stream(frame_stream(bits, k, scheme)) == bits
 
 
 def test_bit_flip_detected_with_packet_index():

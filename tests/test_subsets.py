@@ -1,22 +1,29 @@
 """Subset-ranking codec tests: worked k=4 example, packets, partitions."""
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balpack import subsets
 from balpack.errors import CorruptPacketError
 from balpack.subsets import (
     Packet,
     Scheme,
     decode_packet,
     encode_packet,
+    member_order,
     prefix_length,
     subset_members,
     subset_size_rds,
 )
-from balpack.words import is_balanced
+from balpack.words import invert_prefix, is_balanced
+
+RANKED_SCHEMES = [
+    Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL, Scheme.PROPOSED_FULL
+]
 
 # The six-column worked example for k = 4, frozen from an independent
 # brute-force construction (invert each prefix of y, keep candidates whose
@@ -201,3 +208,56 @@ def test_packet_length_property():
         for x in all_words(k):
             n = encode_packet(x, Scheme.PROPOSED_VL).bit_length
             assert n == k or k + 1 <= n <= k + prefix_length(k, Scheme.PROPOSED_FL)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
+def test_member_order_matches_listing_oracle(k):
+    for y in balanced_words(k):
+        order = member_order(y)
+        members = tuple(invert_prefix(y, j) for j in order)
+        assert members == subset_members(y, includes_balanced=True).members
+        assert members[:-1] == subset_members(y, includes_balanced=False).members
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14])
+def test_unrank_matches_listing_oracle(k):
+    # Every rank the prefix can carry up to size + 1: members decode to the
+    # oracle's entry, ranks past the end of the listing are corrupt.
+    for y in balanced_words(k):
+        for scheme in (Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL):
+            members = subset_members(y, scheme is Scheme.BASELINE_FL).members
+            lam = len(members) if scheme is Scheme.PROPOSED_VL else None
+            nbits = prefix_length(k, scheme, lam)
+            for rank in range(min(len(members) + 2, 1 << nbits)):
+                packet = Packet(format(rank, f"0{nbits}b") + y)
+                if rank < len(members):
+                    assert decode_packet(packet, k, scheme) == members[rank]
+                else:
+                    with pytest.raises(CorruptPacketError, match="outside subset"):
+                        decode_packet(packet, k, scheme)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_encode_rank_matches_listing_oracle(data):
+    k = data.draw(st.sampled_from([16, 32, 64, 128, 256]))
+    x = format(data.draw(st.integers(0, 2**k - 1)), f"0{k}b")
+    nbits = prefix_length(k, Scheme.BASELINE_FL)
+    packet = encode_packet(x, Scheme.BASELINE_FL)
+    rank, y = int(packet.bits[:nbits], 2), packet.bits[nbits:]
+    assert rank == subset_members(y, includes_balanced=True).members.index(x)
+    assert decode_packet(packet, k, Scheme.BASELINE_FL) == x
+
+
+@pytest.mark.parametrize("scheme", RANKED_SCHEMES)
+def test_codec_path_never_lists(monkeypatch, scheme):
+    def listing_forbidden(*args, **kwargs):
+        raise AssertionError("the codec built an explicit subset listing")
+
+    monkeypatch.setattr(subsets, "_members", listing_forbidden)
+    k = 1024
+    rng = random.Random(1024)
+    blocks = ["01" * (k // 2), "1" * k, "0" * k]
+    blocks += [format(rng.getrandbits(k), f"0{k}b") for _ in range(8)]
+    for x in blocks:
+        assert decode_packet(encode_packet(x, scheme), k, scheme) == x
