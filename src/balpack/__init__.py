@@ -27,8 +27,7 @@ from .fourb6b import (
     balance_prefix,
     decode_sextet,
     encode_nibble,
-    full_decode,
-    full_encode,
+    unbalance_prefix,
 )
 from .knuth import KnuthCodeword, ka_decode, ka_encode
 from .redundancy import (
@@ -103,8 +102,6 @@ __all__ = [
     "encode_packet",
     "first_balancing_index",
     "frame_stream",
-    "full_decode",
-    "full_encode",
     "h0_approx",
     "h0_exact",
     "h1_avg",
@@ -125,4 +122,5 @@ __all__ = [
     "subset_size_count_cosine",
     "subset_size_rds",
     "trace_closed_walks",
+    "unbalance_prefix",
 ]

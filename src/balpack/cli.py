@@ -14,13 +14,7 @@ from .redundancy import emit_tables
 from .stream import deframe_stream, frame_stream, selfcheck
 from .subsets import Scheme
 
-SCHEME_NAMES = {
-    "knuth": Scheme.KNUTH,
-    "baseline-fl": Scheme.BASELINE_FL,
-    "proposed-fl": Scheme.PROPOSED_FL,
-    "proposed-vl": Scheme.PROPOSED_VL,
-    "proposed-full": Scheme.PROPOSED_FULL,
-}
+SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
 
 DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 

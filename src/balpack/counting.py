@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
-
 from .subsets import subset_members
 from .words import is_balanced
 
@@ -119,6 +117,7 @@ def subset_size_count_cosine(size: int, k: int) -> float:
     2**k magnitude.  Raises OverflowError when the true value does not fit
     a double.
     """
+    import mpmath  # the only user; codec and table paths never load it
     _check_size_args(size, k)
     with mpmath.workprec(k + 64):
 

@@ -1,18 +1,19 @@
-"""Table-free 4B6B balanced line code and whole-packet balancing.
+"""Table-free 4B6B balanced line code for rank prefixes.
 
 Each nibble is balanced the Knuth way: invert the first e bits, then append
 a 2-bit suffix naming e.  Choosing the smallest e in 1..4 that makes the
 six bits weight-3 reproduces the sixteen-codeword table exactly, so neither
-side stores the table.  Re-encoding a rank prefix this way makes the whole
-packet (prefix plus payload) balanced, at six output bits per four prefix
-bits.
+side stores the table.  Full balancing (``Scheme.PROPOSED_FULL`` in
+:mod:`balpack.subsets`) is the PROPOSED_FL packet with its rank prefix
+passed through :func:`balance_prefix`, which makes the whole packet (prefix
+plus payload) balanced at six output bits per four prefix bits;
+:func:`unbalance_prefix` is the decoder's inverse step.
 """
 
 from __future__ import annotations
 
 from .errors import CorruptPacketError, InvalidSextetError
-from .subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
-from .words import check_word, invert_prefix, is_balanced
+from .words import check_word, invert_prefix
 
 #: Suffix naming the inversion index, keyed by the nibble's first bit.
 #: The two maps differ only at e in {3, 4}; each is injective, which is
@@ -73,42 +74,12 @@ def balance_prefix(prefix: str) -> str:
     )
 
 
-def encoded_prefix_bits(k: int) -> int:
-    """Bits the balanced prefix occupies for block length ``k``."""
-    return prefix_length(k, Scheme.PROPOSED_FULL)
-
-
-def full_encode(x: str) -> Packet:
-    """Fixed-length rank encoding with an overall balanced packet.
-
-    Balanced inputs still go out prefix-less; everything else carries a
-    balanced sextet prefix in front of the balanced payload, so the whole
-    codeword is balanced by construction.
-    """
-    ranked = encode_packet(x, Scheme.PROPOSED_FL)
-    k = len(x)
-    if ranked.bit_length == k:
-        return ranked
-    r = prefix_length(k, Scheme.PROPOSED_FL)
-    return Packet(balance_prefix(ranked.bits[:r]) + ranked.bits[r:])
-
-
-def full_decode(p: Packet, k: int) -> str:
-    """Invert :func:`full_encode` for block length ``k``."""
-    nbits = encoded_prefix_bits(k)
-    if p.bit_length == k:
-        if not is_balanced(p.bits):
-            raise CorruptPacketError(f"prefix-less payload {p.bits!r} is not balanced")
-        return p.bits
-    if p.bit_length != nbits + k:
-        raise CorruptPacketError(
-            f"expected {nbits + k} bits ({nbits}-bit balanced prefix + {k}), "
-            f"got {p.bit_length}"
-        )
-    encoded, y = p.bits[:nbits], p.bits[nbits:]
-    padded = "".join(decode_sextet(encoded[i : i + 6]) for i in range(0, nbits, 6))
-    r = prefix_length(k, Scheme.PROPOSED_FL)
+def unbalance_prefix(encoded: str, r: int) -> str:
+    """Invert :func:`balance_prefix` for an ``r``-bit prefix; the pad must be zero."""
+    if r < 1 or len(encoded) != 6 * ((r + 3) // 4):
+        raise ValueError(f"{len(encoded)} bits cannot hold a balanced {r}-bit prefix")
+    padded = "".join(decode_sextet(encoded[i : i + 6]) for i in range(0, len(encoded), 6))
     prefix, pad = padded[:r], padded[r:]
     if pad.strip("0"):
         raise CorruptPacketError(f"prefix padding bits are not zero: {pad!r}")
-    return decode_packet(Packet(prefix + y), k, Scheme.PROPOSED_FL)
+    return prefix

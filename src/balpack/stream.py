@@ -20,8 +20,10 @@ from .fourb6b import encode_nibble
 from .subsets import (
     Packet,
     Scheme,
+    check_block_length,
     decode_packet,
     encode_packet,
+    prefix_length,
     subset_members,
     subset_size_rds,
 )
@@ -52,10 +54,9 @@ class StreamHeader:
             raise StreamCorruptError(f"bad magic {magic!r}, expected {MAGIC!r}")
         try:
             scheme = Scheme(scheme_id)
-        except ValueError:
-            raise StreamCorruptError(f"unknown scheme id {scheme_id}") from None
-        if k % 2 or k < 2:
-            raise StreamCorruptError(f"header block length {k} is not even >= 2")
+            check_block_length(k, scheme)
+        except ValueError as exc:
+            raise StreamCorruptError(f"bad header: {exc}") from None
         return cls(k=k, scheme=scheme, pad_mode=bool(pad), payload_bit_count=nbits)
 
 
@@ -103,8 +104,7 @@ def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> b
     """Encode a bit string block by block into a framed byte stream."""
     if bits.strip("01"):
         raise ValueError("input must be a string over 0/1")
-    if k % 2 or k < 2:
-        raise ValueError(f"block length must be even >= 2, got {k}")
+    check_block_length(k, scheme)
     original = len(bits)
     if original % k:
         if not pad_mode:
@@ -127,18 +127,23 @@ def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> b
 def deframe_stream(data: bytes) -> str:
     """Decode a framed byte stream back to the original bit string."""
     header = StreamHeader.unpack(data)
+    k, scheme = header.k, header.scheme
+    # the longest packet the scheme can emit; a frame may claim no more
+    max_bits = k + prefix_length(k, scheme, k // 2 if scheme is Scheme.PROPOSED_VL else None)
     offset = _HEADER.size
     decoded: list[str] = []
     index = 0
     while offset < len(data):
         try:
             bit_length, offset = decode_varint(data, offset)
+            if bit_length > max_bits:
+                raise StreamCorruptError(f"frame of {bit_length} bits exceeds {max_bits}")
             nbytes = (bit_length + 7) // 8
             if offset + nbytes > len(data):
                 raise StreamCorruptError(f"packet body truncated ({nbytes} bytes needed)")
             bits = bytes_to_bits(data[offset : offset + nbytes], bit_length)
             offset += nbytes
-            decoded.append(decode_packet(Packet(bits), header.k, header.scheme))
+            decoded.append(decode_packet(Packet(bits), k, scheme))
         except StreamCorruptError as exc:
             raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from None
         except (BalpackError, ValueError) as exc:

@@ -23,6 +23,9 @@ BASELINE_FL   rank in the uncompressed subset, ceil(log2 (k/2+1)) bits
 PROPOSED_FL   rank in the compressed subset, ceil(log2 (k/2)) bits
 PROPOSED_VL   rank in max(1, ceil(log2 lambda)) bits, lambda = subset size
 PROPOSED_FULL PROPOSED_FL with the prefix re-encoded into balanced sextets
+
+One encoder and one decoder serve all five; full balancing is their single
+extra step, :func:`balpack.fourb6b.balance_prefix` on the rank prefix.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import CorruptPacketError
+from .fourb6b import balance_prefix, unbalance_prefix
 from .knuth import ceil_log2, ka_encode
 from .words import (
     check_word,
@@ -158,7 +162,8 @@ def member_order(y: str) -> list[int]:
     )
 
 
-def _check_k(k: int, scheme: Scheme) -> None:
+def check_block_length(k: int, scheme: Scheme) -> None:
+    """Raise ``ValueError`` unless ``scheme`` can code blocks of ``k`` bits."""
     if k % 2 or k < 2:
         raise ValueError(f"block length must be even >= 2, got {k}")
     if k < 4 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
@@ -173,7 +178,7 @@ def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
     The variable-length rule keeps a 1-bit floor for unbalanced words so a
     rank prefix can never be confused with the prefix-less balanced case.
     """
-    _check_k(k, scheme)
+    check_block_length(k, scheme)
     if scheme is Scheme.PROPOSED_VL:
         if lam is None:
             raise ValueError("PROPOSED_VL prefix length needs the subset size")
@@ -197,12 +202,8 @@ def encode_packet(x: str, scheme: Scheme) -> Packet:
     """Encode one information word into a self-contained packet."""
     check_word(x)
     k = len(x)
-    _check_k(k, scheme)
-    if scheme is Scheme.PROPOSED_FULL:
-        from . import fourb6b  # deferred: fourb6b builds on this module
-
-        return fourb6b.full_encode(x)
-    if scheme is Scheme.KNUTH:
+    check_block_length(k, scheme)
+    if scheme is Scheme.KNUTH:  # the rank is e - 1
         return Packet(ka_encode(x).bits)
     if scheme in PREFIX_LESS_SCHEMES and is_balanced(x):
         return Packet(x)
@@ -211,54 +212,46 @@ def encode_packet(x: str, scheme: Scheme) -> Packet:
     order = member_order(y)
     rank = order.index(e)
     lam = len(order) - 1 if scheme is Scheme.PROPOSED_VL else None
-    nbits = prefix_length(k, scheme, lam)
+    full = scheme is Scheme.PROPOSED_FULL
+    nbits = prefix_length(k, Scheme.PROPOSED_FL if full else scheme, lam)
     assert rank < (1 << nbits), "rank cannot exceed its prefix space"
-    return Packet(format(rank, f"0{nbits}b") + y)
-
-
-def _split_ranked(p: Packet, k: int, nbits: int) -> tuple[int, str]:
-    if p.bit_length != nbits + k:
-        raise CorruptPacketError(
-            f"expected {nbits + k} bits ({nbits}-bit prefix + {k}), got {p.bit_length}"
-        )
-    prefix, y = p.bits[:nbits], p.bits[nbits:]
-    if not is_balanced(y):
-        raise CorruptPacketError(f"payload {y!r} is not balanced")
-    return int(prefix, 2), y
+    prefix = format(rank, f"0{nbits}b")
+    return Packet((balance_prefix(prefix) if full else prefix) + y)
 
 
 def decode_packet(p: Packet, k: int, scheme: Scheme) -> str:
     """Decode one packet back to its information word.
 
     The packet's bit length stands in for the end-of-packet marker, so the
-    variable-length scheme learns its prefix length from ``bit_length - k``.
+    variable-length prefix is ``bit_length - k`` bits, and at least one.
     """
-    if scheme is Scheme.PROPOSED_FULL:
-        from . import fourb6b
-
-        return fourb6b.full_decode(p, k)
-    if scheme is Scheme.KNUTH:
-        rank, y = _split_ranked(p, k, prefix_length(k, scheme))
-        e = rank + 1
-        if e > k:
-            raise CorruptPacketError(f"inversion index {e} exceeds k={k}")
-        return invert_prefix(y, e)
-    _check_k(k, scheme)
-    if scheme in PREFIX_LESS_SCHEMES and p.bit_length == k:
+    check_block_length(k, scheme)
+    if p.bit_length == k and scheme in PREFIX_LESS_SCHEMES:
         if not is_balanced(p.bits):
             raise CorruptPacketError(f"prefix-less payload {p.bits!r} is not balanced")
         return p.bits
-    nbits = p.bit_length - k if scheme is Scheme.PROPOSED_VL else prefix_length(k, scheme)
-    if nbits < 1:
-        raise CorruptPacketError(f"packet of {p.bit_length} bits is too short for k={k}")
-    rank, y = _split_ranked(p, k, nbits)
-    order = member_order(y)
-    lam = len(order) - 1
-    if scheme is Scheme.PROPOSED_VL and nbits != prefix_length(k, scheme, lam):
+    nbits = max(1, p.bit_length - k) if scheme is Scheme.PROPOSED_VL else prefix_length(k, scheme)
+    if p.bit_length != nbits + k:
         raise CorruptPacketError(
-            f"{nbits}-bit prefix inconsistent with subset size {lam} of {y!r}"
+            f"expected {nbits + k} bits ({nbits}-bit prefix + {k}), got {p.bit_length}"
         )
-    size = len(order) if scheme is Scheme.BASELINE_FL else lam
+    prefix, y = p.bits[:nbits], p.bits[nbits:]
+    if scheme is Scheme.PROPOSED_FULL:
+        prefix = unbalance_prefix(prefix, prefix_length(k, Scheme.PROPOSED_FL))
+    if not is_balanced(y):
+        raise CorruptPacketError(f"payload {y!r} is not balanced")
+    rank = int(prefix, 2)
+    if scheme is Scheme.KNUTH:  # the inversion index e = rank + 1 is any of 1..k
+        order, size = range(1, k + 1), k
+    else:
+        order = member_order(y)
+        lam = len(order) - 1
+        if scheme is Scheme.PROPOSED_VL and nbits != prefix_length(k, scheme, lam):
+            raise CorruptPacketError(
+                f"{nbits}-bit prefix inconsistent with subset size {lam} of {y!r}"
+            )
+        # prefix-less schemes drop the balanced member, the last in the order
+        size = lam if scheme in PREFIX_LESS_SCHEMES else len(order)
     if rank >= size:
         raise CorruptPacketError(f"rank {rank} outside subset of size {size} for {y!r}")
     return invert_prefix(y, order[rank])

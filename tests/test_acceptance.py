@@ -20,7 +20,7 @@ from balpack.counting import (
     subset_size_count_bruteforce,
     subset_size_count_cosine,
 )
-from balpack.fourb6b import encode_nibble, full_decode, full_encode
+from balpack.fourb6b import encode_nibble
 from balpack.knuth import ceil_log2
 from balpack.redundancy import (
     comparison_rows,
@@ -189,9 +189,9 @@ def test_criterion_6_4b6b_table_and_overall_balance():
     assert len(sextets) == 16 and all(s.count("1") == 3 for s in sextets)
     for k in (4, 6, 8, 10, 12):
         for x in all_words(k):
-            packet = full_encode(x)
+            packet = encode_packet(x, Scheme.PROPOSED_FULL)
             assert is_balanced(packet.bits)
-            assert full_decode(packet, k) == x
+            assert decode_packet(packet, k, Scheme.PROPOSED_FULL) == x
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(6, f"sextet table reproduced; every packet balanced and decodable "

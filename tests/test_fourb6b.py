@@ -5,16 +5,11 @@ import itertools
 import pytest
 
 from balpack.errors import CorruptPacketError, InvalidSextetError
-from balpack.fourb6b import (
-    balance_prefix,
-    decode_sextet,
-    encode_nibble,
-    encoded_prefix_bits,
-    full_decode,
-    full_encode,
-)
-from balpack.subsets import Packet, Scheme, encode_packet
+from balpack.fourb6b import balance_prefix, decode_sextet, encode_nibble
+from balpack.subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
 from balpack.words import is_balanced
+
+FULL = Scheme.PROPOSED_FULL
 
 # Reference 4B6B table the smallest-index rule must reproduce bit for bit.
 SEXTET_TABLE = {
@@ -97,36 +92,41 @@ def test_balance_prefix_output_balanced():
 
 
 def test_full_encode_examples():
-    assert full_encode("1111").bits == "011100" + "0011"
-    assert full_encode("0101").bits == "0101"
-    assert full_decode(Packet("0111000011"), 4) == "1111"
+    assert encode_packet("1111", FULL).bits == "011100" + "0011"
+    assert encode_packet("0101", FULL).bits == "0101"
+    assert decode_packet(Packet("0111000011"), 4, FULL) == "1111"
 
 
-def test_full_encode_matches_scheme_dispatch():
-    for x in ("1111", "0010", "0101"):
-        assert encode_packet(x, Scheme.PROPOSED_FULL) == full_encode(x)
+def test_full_packet_is_fl_packet_with_balanced_prefix():
+    for k in (4, 6, 8, 10):
+        r = prefix_length(k, Scheme.PROPOSED_FL)
+        for bits in itertools.product("01", repeat=k):
+            x = "".join(bits)
+            fl = encode_packet(x, Scheme.PROPOSED_FL).bits
+            expect = x if is_balanced(x) else balance_prefix(fl[:r]) + fl[r:]
+            assert encode_packet(x, FULL).bits == expect
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10])
 def test_full_roundtrip_and_balance_exhaustive(k):
-    nbits = encoded_prefix_bits(k)
+    nbits = prefix_length(k, FULL)
     for bits in itertools.product("01", repeat=k):
         x = "".join(bits)
-        packet = full_encode(x)
+        packet = encode_packet(x, FULL)
         assert is_balanced(packet.bits)
         assert packet.bit_length in (k, k + nbits)
-        assert full_decode(packet, k) == x
+        assert decode_packet(packet, k, FULL) == x
 
 
 def test_full_decode_errors():
     with pytest.raises(CorruptPacketError):
-        full_decode(Packet("0111"), 4)  # k bits but unbalanced
+        decode_packet(Packet("0111"), 4, FULL)  # k bits but unbalanced
     with pytest.raises(CorruptPacketError):
-        full_decode(Packet("01110000110"), 4)  # 11 bits: no valid split
+        decode_packet(Packet("01110000110"), 4, FULL)  # 11 bits: no valid split
     with pytest.raises(InvalidSextetError):
-        full_decode(Packet("1110000011"), 4)  # prefix is not a codeword
+        decode_packet(Packet("1110000011"), 4, FULL)  # prefix is not a codeword
     with pytest.raises(ValueError):
-        full_decode(Packet("0101"), 3)
+        decode_packet(Packet("0101"), 3, FULL)
 
 
 def test_full_decode_rejects_nonzero_padding():
@@ -134,4 +134,4 @@ def test_full_decode_rejects_nonzero_padding():
     # of "1000" decodes to a valid sextet whose padding is not all zero
     packet = Packet(encode_nibble("1100") + "0011")
     with pytest.raises(CorruptPacketError):
-        full_decode(packet, 4)
+        decode_packet(packet, 4, FULL)

@@ -2,13 +2,18 @@
 
 import math
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balpack
 from balpack import subsets
-from balpack.cli import main
+from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
 from balpack.knuth import ceil_log2
@@ -95,6 +100,33 @@ def test_frame_stream_rejects_junk():
         frame_stream("0101x111", 4, Scheme.KNUTH)
     with pytest.raises(ValueError):
         frame_stream("0101", 3, Scheme.KNUTH)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL])
+def test_k2_streams_rejected_for_schemes_that_cannot_code_them(scheme):
+    # a zero-bit rank prefix at k = 2 would collide with the prefix-less case
+    with pytest.raises(ValueError):
+        frame_stream("", 2, scheme)
+    header = StreamHeader(k=2, scheme=scheme, pad_mode=False, payload_bit_count=0)
+    with pytest.raises(StreamCorruptError) as err:
+        deframe_stream(header.pack())
+    assert err.value.packet_index is None
+
+
+def test_oversized_frame_rejected_before_its_body_is_read():
+    k = 16
+    header = StreamHeader(k=k, scheme=Scheme.KNUTH, pad_mode=False, payload_bit_count=k)
+    nbytes = 8 << 20
+    stream = header.pack() + encode_varint(8 * nbytes) + bytes(nbytes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamCorruptError) as err:
+            deframe_stream(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.packet_index == 0
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
@@ -198,13 +230,24 @@ def test_selfcheck_passes_and_caps():
 # --- CLI ---
 
 
-def test_cli_encode_decode_roundtrip(tmp_path):
+def test_cli_scheme_names():
+    assert SCHEME_NAMES == {
+        "knuth": Scheme.KNUTH,
+        "baseline-fl": Scheme.BASELINE_FL,
+        "proposed-fl": Scheme.PROPOSED_FL,
+        "proposed-vl": Scheme.PROPOSED_VL,
+        "proposed-full": Scheme.PROPOSED_FULL,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
+def test_cli_encode_decode_roundtrip(tmp_path, name):
     src = tmp_path / "input.bin"
     enc = tmp_path / "stream.bpk"
     out = tmp_path / "output.bin"
     payload = bytes(range(256))
     src.write_bytes(payload)
-    assert main(["encode", "--scheme", "proposed-full", "--k", "16",
+    assert main(["encode", "--scheme", name, "--k", "16",
                  str(src), str(enc)]) == 0
     assert main(["decode", str(enc), str(out)]) == 0
     assert out.read_bytes() == payload
@@ -259,3 +302,12 @@ def test_cli_selfcheck(capsys):
     assert "PASS" in out and "FAIL" not in out.replace("FAILED", "")
     assert "NOTE" in out
     assert main(["selfcheck", "--k-max", "99"]) == 1
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, balpack.cli; print('mpmath' in sys.modules)"
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src_dir)},
+    )
+    assert result.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balpack import subsets
-from balpack.errors import CorruptPacketError
+from balpack.errors import BalpackError, CorruptPacketError
 from balpack.subsets import (
     Packet,
     Scheme,
@@ -261,3 +261,20 @@ def test_codec_path_never_lists(monkeypatch, scheme):
     blocks += [format(rng.getrandbits(k), f"0{k}b") for _ in range(8)]
     for x in blocks:
         assert decode_packet(encode_packet(x, scheme), k, scheme) == x
+
+
+@pytest.mark.parametrize("scheme", RANKED_SCHEMES)
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_ranked_decoders_accept_exactly_the_encoder_image(k, scheme):
+    # every bit string of length k..k+6 covers every packet length the
+    # ranked schemes emit at these k; each accepted packet is canonical
+    accepted = 0
+    for n in range(k, k + 7):
+        for bits in all_words(n):
+            try:
+                x = decode_packet(Packet(bits), k, scheme)
+            except BalpackError:
+                continue
+            accepted += 1
+            assert encode_packet(x, scheme).bits == bits
+    assert accepted == 2**k
