@@ -11,7 +11,7 @@ import sys
 
 from .errors import BalpackError
 from .redundancy import emit_tables
-from .stream import deframe_stream, frame_stream, selfcheck
+from .stream import bits_to_bytes, bytes_to_bits, deframe_stream, frame_stream, selfcheck
 from .subsets import Scheme
 
 SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
@@ -19,13 +19,10 @@ SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
 DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
-def _bits_of(data: bytes) -> str:
-    return "".join(format(b, "08b") for b in data)
-
-
 def _cmd_encode(args: argparse.Namespace) -> int:
     data = args.infile.read_bytes()
-    stream = frame_stream(_bits_of(data), args.k, SCHEME_NAMES[args.scheme], args.pad)
+    bits = bytes_to_bits(data, 8 * len(data))
+    stream = frame_stream(bits, args.k, SCHEME_NAMES[args.scheme], args.pad)
     args.outfile.write_bytes(stream)
     return 0
 
@@ -36,8 +33,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         print(f"error: decoded payload of {len(bits)} bits is not byte aligned",
               file=sys.stderr)
         return 1
-    data = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-    args.outfile.write_bytes(data)
+    args.outfile.write_bytes(bits_to_bytes(bits))
     return 0
 
 

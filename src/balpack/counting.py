@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .subsets import subset_members
-from .words import is_balanced
 
 #: Brute-force enumeration walks all C(k, k/2) balanced words; above this
 #: block length that stops being a desk-scale computation.
@@ -138,12 +137,16 @@ def subset_size_count_cosine(size: int, k: int) -> float:
     return out
 
 
+def balanced_words(k: int):
+    """Every balanced word of length ``k``, in lexicographic order of its ones' positions."""
+    for ones in itertools.combinations(range(k), k // 2):
+        yield "".join("1" if i in ones else "0" for i in range(k))
+
+
 @lru_cache(maxsize=8)
 def _bruteforce_table(k: int) -> dict[int, int]:
     counts: dict[int, int] = {}
-    for ones in itertools.combinations(range(k), k // 2):
-        y = "".join("1" if i in ones else "0" for i in range(k))
-        assert is_balanced(y)
+    for y in balanced_words(k):
         size = len(subset_members(y, includes_balanced=False))
         counts[size] = counts.get(size, 0) + 1
     return counts

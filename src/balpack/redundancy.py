@@ -165,11 +165,7 @@ def integer_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, int, int, int]
 
 def count_rows(k_list: Iterable[int]) -> list[tuple[int, int, int]]:
     """(k, size, count) triples of the exact enumeration."""
-    out = []
-    for k in k_list:
-        for s in range(1, k // 2 + 1):
-            out.append((k, s, subset_size_count(s, k)))
-    return out
+    return [(k, s, subset_size_count(s, k)) for k in k_list for s in range(1, k // 2 + 1)]
 
 
 def emit_tables(what: str, k_list: Iterable[int], out: TextIO) -> None:

@@ -5,25 +5,24 @@ is a varint bit count and then the packet bits packed most significant
 first, final byte zero-padded.  The explicit bit count plays the role of
 the end-of-packet marker: packets are self-delimiting without reserving
 any bit pattern, which is what lets balanced words travel prefix-less.
+
+Input is checked once per stream; blocks pass through
+:class:`balpack.subsets.BlockCodec` as integers, one ``to_bytes`` per frame.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 
-from .counting import count_table, subset_size_count_bruteforce
+from .counting import balanced_words, count_table, subset_size_count_bruteforce
 from .errors import BalpackError, InputLengthError, StreamCorruptError
 from .fourb6b import encode_nibble
 from .subsets import (
-    Packet,
+    BlockCodec,
     Scheme,
     check_block_length,
-    decode_packet,
-    encode_packet,
-    prefix_length,
     subset_members,
     subset_size_rds,
 )
@@ -57,6 +56,8 @@ class StreamHeader:
             check_block_length(k, scheme)
         except ValueError as exc:
             raise StreamCorruptError(f"bad header: {exc}") from None
+        if pad > 1 or (not pad and nbits % k):
+            raise StreamCorruptError(f"bad header: pad flag {pad}, {nbits} bits, k={k}")
         return cls(k=k, scheme=scheme, pad_mode=bool(pad), payload_bit_count=nbits)
 
 
@@ -73,18 +74,20 @@ def encode_varint(value: int) -> bytes:
             return bytes(out)
 
 
-def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
-    """Return (value, next offset); raises on truncation."""
-    value = shift = 0
-    while True:
+def decode_varint(data: bytes, offset: int, max_bytes: int = 10) -> tuple[int, int]:
+    """(value, next offset) of a minimal varint of at most ``max_bytes`` bytes, else raise."""
+    value = 0
+    for shift in range(0, 7 * max_bytes, 7):
         if offset >= len(data):
             raise StreamCorruptError("truncated varint")
         byte = data[offset]
         offset += 1
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if shift and not byte:
+                raise StreamCorruptError("varint is not minimal")
             return value, offset
-        shift += 7
+    raise StreamCorruptError(f"varint longer than {max_bytes} bytes")
 
 
 def bits_to_bytes(bits: str) -> bytes:
@@ -104,60 +107,73 @@ def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> b
     """Encode a bit string block by block into a framed byte stream."""
     if bits.strip("01"):
         raise ValueError("input must be a string over 0/1")
-    check_block_length(k, scheme)
+    codec = BlockCodec(k, scheme)
     original = len(bits)
-    if original % k:
-        if not pad_mode:
-            raise InputLengthError(
-                f"{original} input bits is not a multiple of k={k} and padding is off"
-            )
-        bits += "0" * (k - original % k)
-    out = bytearray(
-        StreamHeader(
-            k=k, scheme=scheme, pad_mode=pad_mode, payload_bit_count=original
-        ).pack()
-    )
+    if original % k and not pad_mode:
+        raise InputLengthError(f"{original} input bits is not a multiple of k={k} "
+                               "and padding is off")
+    bits += "0" * (-original % k)
+    header = StreamHeader(k=k, scheme=scheme, pad_mode=pad_mode, payload_bit_count=original)
+    out = bytearray(header.pack())
+    # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
+    shapes = []
+    for n in range(k, k + codec.max_prefix + 1):
+        varint, body = encode_varint(n), (n + 7) // 8
+        head = int.from_bytes(varint, "big") << 8 * body
+        shapes.append((head, len(varint) + body, 8 * body - n))
     for start in range(0, len(bits), k):
-        packet = encode_packet(bits[start : start + k], scheme)
-        out += encode_varint(packet.bit_length)
-        out += bits_to_bytes(packet.bits)
+        x = bits[start : start + k]
+        packet, p = codec.encode(x, int(x, 2))
+        head, nbytes, slack = shapes[p]
+        out += (head | packet << slack).to_bytes(nbytes, "big")
     return bytes(out)
 
 
 def deframe_stream(data: bytes) -> str:
-    """Decode a framed byte stream back to the original bit string."""
+    """Decode a framed byte stream back to the original bit string.
+
+    Only the exact output of :func:`frame_stream` is accepted: one frame per
+    block, minimal varints, zero slack bits and zero pad fill.
+    """
     header = StreamHeader.unpack(data)
-    k, scheme = header.k, header.scheme
-    # the longest packet the scheme can emit; a frame may claim no more
-    max_bits = k + prefix_length(k, scheme, k // 2 if scheme is Scheme.PROPOSED_VL else None)
-    offset = _HEADER.size
+    k, payload = header.k, header.payload_bit_count
+    codec = BlockCodec(k, header.scheme)
+    decode, max_bits = codec.decode, k + codec.max_prefix  # the longest packet
+    max_varint = len(encode_varint(max_bits))
+    frames, end, offset = -(-payload // k), len(data), _HEADER.size
     decoded: list[str] = []
-    index = 0
-    while offset < len(data):
+    for index in range(frames):
         try:
-            bit_length, offset = decode_varint(data, offset)
-            if bit_length > max_bits:
-                raise StreamCorruptError(f"frame of {bit_length} bits exceeds {max_bits}")
+            if offset >= end:
+                raise StreamCorruptError(f"stream ends after {index} of {frames} frames")
+            bit_length = data[offset]  # one-byte varints skip the call
+            if bit_length < 0x80:
+                offset += 1
+            else:
+                bit_length, offset = decode_varint(data, offset, max_varint)
+            if not k <= bit_length <= max_bits:
+                raise StreamCorruptError(f"frame of {bit_length} bits outside {k}..{max_bits}")
             nbytes = (bit_length + 7) // 8
-            if offset + nbytes > len(data):
+            if offset + nbytes > end:
                 raise StreamCorruptError(f"packet body truncated ({nbytes} bytes needed)")
-            bits = bytes_to_bits(data[offset : offset + nbytes], bit_length)
+            value = int.from_bytes(data[offset : offset + nbytes], "big")
             offset += nbytes
-            decoded.append(decode_packet(Packet(bits), k, scheme))
-        except StreamCorruptError as exc:
-            raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from None
+            slack = 8 * nbytes - bit_length
+            if value & ((1 << slack) - 1):
+                raise StreamCorruptError("slack bits after the packet are not zero")
+            decoded.append(decode(value >> slack, bit_length - k))
         except (BalpackError, ValueError) as exc:
-            raise StreamCorruptError(
-                f"packet {index}: {exc}", packet_index=index
-            ) from exc
-        index += 1
-    total = "".join(decoded)
-    if len(total) < header.payload_bit_count:
+            raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
+    if offset < end:
         raise StreamCorruptError(
-            f"stream ended after {len(total)} bits, header promised "
-            f"{header.payload_bit_count}"
+            f"packet {frames}: data after the last of {frames} frames", packet_index=frames
         )
-    return total[: header.payload_bit_count]
+    if payload % k:  # index is the last packet's
+        last, kept = decoded[-1], payload % k
+        if "1" in last[kept:]:
+            raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
+        decoded[-1] = last[:kept]
+    return "".join(decoded)
 
 
 @dataclass(frozen=True)
@@ -178,11 +194,6 @@ class SelfCheckReport:
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.entries.append(CheckResult(name=name, passed=passed, detail=detail))
-
-
-def _balanced_words(k: int):
-    for ones in itertools.combinations(range(k), k // 2):
-        yield "".join("1" if i in ones else "0" for i in range(k))
 
 
 # Reference listings for k = 4 (the worked six-column example: uncompressed
@@ -218,7 +229,7 @@ def selfcheck(k_max: int) -> SelfCheckReport:
 
     for k in range(4, k_max + 1, 2):
         bad_balance = [
-            y for y in _balanced_words(k)
+            y for y in balanced_words(k)
             if not is_balanced(invert_prefix(y, first_balancing_index(y)))
         ]
         report.add(
@@ -231,7 +242,7 @@ def selfcheck(k_max: int) -> SelfCheckReport:
         seen_unbalanced: set[str] = set()
         seen_all: set[str] = set()
         detail = ""
-        for y in _balanced_words(k):
+        for y in balanced_words(k):
             baseline = subset_members(y, includes_balanced=True).members
             proposed = subset_members(y, includes_balanced=False).members
             lam = len(proposed)

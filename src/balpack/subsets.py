@@ -24,8 +24,11 @@ PROPOSED_FL   rank in the compressed subset, ceil(log2 (k/2)) bits
 PROPOSED_VL   rank in max(1, ceil(log2 lambda)) bits, lambda = subset size
 PROPOSED_FULL PROPOSED_FL with the prefix re-encoded into balanced sextets
 
-One encoder and one decoder serve all five; full balancing is their single
-extra step, :func:`balpack.fourb6b.balance_prefix` on the rank prefix.
+One kernel, :class:`BlockCodec`, serves all five; full balancing is its
+single extra step, :func:`balpack.fourb6b.balance_prefix` on the rank prefix.
+It resolves the scheme once and checks nothing: streams are checked once per
+stream, and :func:`encode_packet` / :func:`decode_packet` are its checking
+string adapters.
 """
 
 from __future__ import annotations
@@ -37,12 +40,14 @@ from itertools import accumulate
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_prefix, unbalance_prefix
-from .knuth import ceil_log2, ka_encode
+from .knuth import ceil_log2
 from .words import (
+    bipolar,
     check_word,
     first_balancing_index,
     invert_prefix,
     is_balanced,
+    level_index,
     rds_extrema,
 )
 
@@ -146,7 +151,7 @@ def member_order(y: str) -> list[int]:
     it the list is the compressed listing, so lambda is one less than its
     length.
     """
-    d = list(accumulate(map({"0": -1, "1": 1}.__getitem__, y), initial=0))
+    d = list(accumulate(bipolar(y), initial=0))
     visits = []
     for levels in (range(1, max(d) + 1), range(-1, min(d) - 1, -1)):
         j = 0
@@ -179,44 +184,97 @@ def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
     rank prefix can never be confused with the prefix-less balanced case.
     """
     check_block_length(k, scheme)
-    if scheme is Scheme.PROPOSED_VL:
-        if lam is None:
-            raise ValueError("PROPOSED_VL prefix length needs the subset size")
+    if (lam is None) == (scheme is Scheme.PROPOSED_VL):
+        raise ValueError(f"the subset size is needed for PROPOSED_VL and only there, "
+                         f"got {lam} for {scheme.name}")
+    if lam is not None:
         if not 1 <= lam <= k // 2:
             raise ValueError(f"subset size {lam} outside 1..{k // 2}")
-        return max(1, ceil_log2(lam))
-    if lam is not None:
-        raise ValueError(f"subset size is meaningful only for PROPOSED_VL, not {scheme.name}")
-    if scheme is Scheme.KNUTH:
-        return ceil_log2(k)
-    if scheme is Scheme.BASELINE_FL:
-        return ceil_log2(k // 2 + 1)
-    if scheme is Scheme.PROPOSED_FL:
-        return ceil_log2(k // 2)
-    if scheme is Scheme.PROPOSED_FULL:
-        return 6 * ((ceil_log2(k // 2) + 3) // 4)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        return _vl_prefix(lam)
+    r = ceil_log2(k // 2)
+    return {Scheme.KNUTH: ceil_log2(k), Scheme.BASELINE_FL: ceil_log2(k // 2 + 1),
+            Scheme.PROPOSED_FL: r, Scheme.PROPOSED_FULL: 6 * ((r + 3) // 4)}[scheme]
+
+
+def _vl_prefix(lam: int) -> int:
+    return max(1, ceil_log2(lam))  # the 1-bit floor of prefix_length's VL rule
+
+
+class BlockCodec:
+    """The unchecked per-block kernel of one scheme at one block length.
+
+    Blocks and packets are integers, a packet being ``prefix << k | payload``:
+    balanced means a bit count of k/2, and a prefix inversion is an XOR.
+    """
+
+    def __init__(self, k: int, scheme: Scheme) -> None:
+        check_block_length(k, scheme)
+        self.k, self.half, self.mask, self.fmt = k, k // 2, (1 << k) - 1, f"0{k}b"
+        self.knuth = scheme is Scheme.KNUTH
+        self.vl = scheme is Scheme.PROPOSED_VL
+        self.full = scheme is Scheme.PROPOSED_FULL
+        self.prefix_less = scheme in PREFIX_LESS_SCHEMES
+        lam = k // 2 if self.vl else None  # VL's largest subset has its longest prefix
+        self.rank_bits = prefix_length(k, Scheme.PROPOSED_FL if self.full else scheme, lam)
+        self.max_prefix = prefix_length(k, scheme, lam)
+
+    def encode(self, x: str, xi: int) -> tuple[int, int]:
+        """Packet value and prefix bit count of the block ``x``, whose value is ``xi``."""
+        k, half = self.k, self.half
+        ones = xi.bit_count()
+        if ones == half and self.prefix_less:
+            return xi, 0
+        e = level_index(x, ones - half)  # the first balancing index
+        y = xi ^ (((1 << e) - 1) << (k - e))
+        if self.knuth:  # the rank is e - 1
+            return (e - 1) << k | y, self.max_prefix
+        order = member_order(format(y, self.fmt))
+        rank = order.index(e)
+        if self.vl:
+            return rank << k | y, _vl_prefix(len(order) - 1)
+        if self.full:
+            rank = int(balance_prefix(format(rank, f"0{self.rank_bits}b")), 2)
+        return rank << k | y, self.max_prefix
+
+    def decode(self, v: int, p: int) -> str:
+        """Word of packet ``v`` (``p`` prefix bits); BalpackError if no word encodes to it."""
+        k, half, y = self.k, self.half, v & self.mask
+        nbits = max(1, p) if self.vl else self.max_prefix
+        if p != nbits and not (p == 0 and self.prefix_less):
+            raise CorruptPacketError(f"expected {nbits + k} bits ({nbits}-bit prefix + {k}), "
+                                     f"got {p + k}")
+        rank = v >> k
+        if self.full and p:
+            rank = int(unbalance_prefix(format(rank, f"0{p}b"), self.rank_bits), 2)
+        if y.bit_count() != half:
+            raise CorruptPacketError(f"payload {format(y, self.fmt)!r} is not balanced")
+        if not p:
+            return format(y, self.fmt)
+        if self.knuth:  # the inversion index e = rank + 1 is any of 1..k
+            order, size = range(1, k + 1), k
+        else:
+            order = member_order(format(y, self.fmt))
+            lam = len(order) - 1
+            if self.vl and p != _vl_prefix(lam):
+                raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
+            # prefix-less schemes drop the balanced member, the last in the order
+            size = lam if self.prefix_less else len(order)
+        if rank >= size:
+            raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
+        e = order[rank]
+        x = y ^ (((1 << e) - 1) << (k - e))
+        xs = format(x, self.fmt)
+        # the ranked orders hold first balancing indexes only; Knuth's range does not
+        if self.knuth and level_index(xs, x.bit_count() - half) != e:
+            raise CorruptPacketError(f"{e} is not the first balancing index of {xs!r}")
+        return xs
 
 
 def encode_packet(x: str, scheme: Scheme) -> Packet:
     """Encode one information word into a self-contained packet."""
     check_word(x)
-    k = len(x)
-    check_block_length(k, scheme)
-    if scheme is Scheme.KNUTH:  # the rank is e - 1
-        return Packet(ka_encode(x).bits)
-    if scheme in PREFIX_LESS_SCHEMES and is_balanced(x):
-        return Packet(x)
-    e = first_balancing_index(x)
-    y = invert_prefix(x, e)
-    order = member_order(y)
-    rank = order.index(e)
-    lam = len(order) - 1 if scheme is Scheme.PROPOSED_VL else None
-    full = scheme is Scheme.PROPOSED_FULL
-    nbits = prefix_length(k, Scheme.PROPOSED_FL if full else scheme, lam)
-    assert rank < (1 << nbits), "rank cannot exceed its prefix space"
-    prefix = format(rank, f"0{nbits}b")
-    return Packet((balance_prefix(prefix) if full else prefix) + y)
+    value, p = BlockCodec(len(x), scheme).encode(x, int(x, 2))
+    return Packet(format(value, f"0{len(x) + p}b"))
 
 
 def decode_packet(p: Packet, k: int, scheme: Scheme) -> str:
@@ -225,33 +283,4 @@ def decode_packet(p: Packet, k: int, scheme: Scheme) -> str:
     The packet's bit length stands in for the end-of-packet marker, so the
     variable-length prefix is ``bit_length - k`` bits, and at least one.
     """
-    check_block_length(k, scheme)
-    if p.bit_length == k and scheme in PREFIX_LESS_SCHEMES:
-        if not is_balanced(p.bits):
-            raise CorruptPacketError(f"prefix-less payload {p.bits!r} is not balanced")
-        return p.bits
-    nbits = max(1, p.bit_length - k) if scheme is Scheme.PROPOSED_VL else prefix_length(k, scheme)
-    if p.bit_length != nbits + k:
-        raise CorruptPacketError(
-            f"expected {nbits + k} bits ({nbits}-bit prefix + {k}), got {p.bit_length}"
-        )
-    prefix, y = p.bits[:nbits], p.bits[nbits:]
-    if scheme is Scheme.PROPOSED_FULL:
-        prefix = unbalance_prefix(prefix, prefix_length(k, Scheme.PROPOSED_FL))
-    if not is_balanced(y):
-        raise CorruptPacketError(f"payload {y!r} is not balanced")
-    rank = int(prefix, 2)
-    if scheme is Scheme.KNUTH:  # the inversion index e = rank + 1 is any of 1..k
-        order, size = range(1, k + 1), k
-    else:
-        order = member_order(y)
-        lam = len(order) - 1
-        if scheme is Scheme.PROPOSED_VL and nbits != prefix_length(k, scheme, lam):
-            raise CorruptPacketError(
-                f"{nbits}-bit prefix inconsistent with subset size {lam} of {y!r}"
-            )
-        # prefix-less schemes drop the balanced member, the last in the order
-        size = lam if scheme in PREFIX_LESS_SCHEMES else len(order)
-    if rank >= size:
-        raise CorruptPacketError(f"rank {rank} outside subset of size {size} for {y!r}")
-    return invert_prefix(y, order[rank])
+    return BlockCodec(k, scheme).decode(int(p.bits, 2), p.bit_length - k)

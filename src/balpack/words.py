@@ -9,9 +9,12 @@ from 1; index 0 is legal only where it means "invert nothing".
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import indexOf
 from typing import NamedTuple
 
 _FLIP = str.maketrans("01", "10")
+_BIPOLAR = bytes.maketrans(b"01", b"\xff\x01")  # -1 and +1 as signed bytes
 
 
 class RdsExtrema(NamedTuple):
@@ -46,18 +49,13 @@ def rds_extrema(w: str) -> RdsExtrema:
     word visits minus one.
     """
     check_word(w)
-    run = hi = lo = 0
-    first = True
-    for c in w:
-        run += 1 if c == "1" else -1
-        if first:
-            hi = lo = run
-            first = False
-        elif run > hi:
-            hi = run
-        elif run < lo:
-            lo = run
-    return RdsExtrema(hi, lo)
+    d = list(accumulate(bipolar(w)))
+    return RdsExtrema(max(d), min(d))
+
+
+def bipolar(w: str) -> memoryview:
+    """The bits of ``w`` (unchecked) as -1/+1 values, for C-level iteration."""
+    return memoryview(w.encode().translate(_BIPOLAR)).cast("b")
 
 
 def invert_prefix(w: str, j: int) -> str:
@@ -88,10 +86,16 @@ def first_balancing_index(w: str) -> int:
     k = len(w)
     if k % 2:
         raise ValueError(f"no balancing index exists for odd length {k}")
-    target = disparity(w) // 2
+    return level_index(w, w.count("1") - k // 2)
+
+
+def level_index(w: str, level: int) -> int:
+    """Smallest j >= 1 with d_j = ``level`` (``ValueError`` if none); ``w`` is unchecked."""
+    if len(w) > 64:  # on shorter words the plain loop below is faster
+        return indexOf(accumulate(bipolar(w)), level) + 1
     run = 0
     for j, c in enumerate(w, start=1):
         run += 1 if c == "1" else -1
-        if run == target:
+        if run == level:
             return j
-    raise AssertionError(f"unreachable: no balancing index found for {w!r}")
+    raise ValueError(f"the running sums of {w!r} never reach {level}")

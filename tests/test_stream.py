@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from balpack.stream import (
     frame_stream,
     selfcheck,
 )
-from balpack.subsets import Scheme, encode_packet
+from balpack.subsets import Packet, Scheme, decode_packet, encode_packet
 from balpack.words import is_balanced
 
 ALL_SCHEMES = list(Scheme)
@@ -47,6 +48,15 @@ def test_varint_truncation():
         decode_varint(b"\xac", 1)
     with pytest.raises(StreamCorruptError):
         decode_varint(b"\x80", 0)
+
+
+def test_varint_rejects_overlong_and_non_minimal():
+    assert decode_varint(b"\xff\xff\x7f", 0, max_bytes=3) == (2**21 - 1, 3)
+    with pytest.raises(StreamCorruptError, match="longer"):
+        decode_varint(b"\xff\xff\x7f", 0, max_bytes=2)
+    with pytest.raises(StreamCorruptError, match="minimal"):
+        decode_varint(b"\x94\x00", 0)  # 20 with a redundant zero byte
+    assert decode_varint(b"\x00", 0) == (0, 1)
 
 
 def test_bit_packing_msb_first():
@@ -161,6 +171,147 @@ def test_roundtrip_at_header_block_length_limit(monkeypatch, scheme):
     assert deframe_stream(frame_stream(bits, k, scheme)) == bits
 
 
+def _frame_offsets(stream):
+    """Start offset of every frame (its varint) in a well-formed stream."""
+    offsets, offset = [], 16
+    while offset < len(stream):
+        offsets.append(offset)
+        bit_length, offset = decode_varint(stream, offset)
+        offset += (bit_length + 7) // 8
+    return offsets
+
+
+def _corrupt_index(stream):
+    with pytest.raises(StreamCorruptError) as err:
+        deframe_stream(bytes(stream))
+    return err.value.packet_index
+
+
+def test_long_varint_rejected_in_milliseconds():
+    # a run of continuation bytes used to cost O(n^2) in the varint shift
+    header = StreamHeader(k=16, scheme=Scheme.KNUTH, pad_mode=False, payload_bit_count=16)
+    stream = header.pack() + b"\xff" * 10**5
+    start = time.perf_counter()
+    assert _corrupt_index(stream) == 0
+    assert time.perf_counter() - start < 0.05
+
+
+def test_non_minimal_varint_rejected():
+    # k = 126 VL frames reach 132 bits, so a 2-byte varint fits the length
+    # bound; the 126-bit prefix-less frame must still take the 1-byte form
+    stream = frame_stream("01" * 63 + "10" * 63, 126, Scheme.PROPOSED_VL)
+    second = _frame_offsets(stream)[1]
+    assert stream[second] == 126
+    padded = stream[:second] + b"\xfe\x00" + stream[second + 1 :]
+    with pytest.raises(StreamCorruptError, match="minimal") as err:
+        deframe_stream(padded)
+    assert err.value.packet_index == 1
+
+
+def test_set_slack_bit_rejected():
+    # a k = 16 Knuth frame is 20 bits in 3 bytes: 4 slack bits in the last byte
+    stream = bytearray(frame_stream("0110111101011111" * 2, 16, Scheme.KNUTH))
+    assert stream[_frame_offsets(stream)[1]] == 20
+    stream[-1] |= 1
+    assert _corrupt_index(stream) == 1
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_frame_after_the_last_block_rejected(scheme):
+    stream = frame_stream("0110111101011111", 8, scheme)
+    first, second = _frame_offsets(stream)
+    assert _corrupt_index(stream + stream[first:second]) == 2
+    assert _corrupt_index(stream + b"\x00") == 2
+
+
+def test_nonzero_pad_fill_rejected():
+    stream = frame_stream("01011111", 4, Scheme.PROPOSED_FL, pad_mode=True)
+    assert deframe_stream(stream) == "01011111"
+    # claim 6 payload bits: the last block's two fill bits are then "11"
+    header = StreamHeader(k=4, scheme=Scheme.PROPOSED_FL, pad_mode=True, payload_bit_count=6)
+    assert _corrupt_index(header.pack() + stream[16:]) == 1
+    zero_fill = frame_stream("010111", 4, Scheme.PROPOSED_FL, pad_mode=True)
+    assert deframe_stream(zero_fill) == "010111"
+
+
+def test_header_pad_flag_must_match_payload():
+    good = StreamHeader(k=8, scheme=Scheme.KNUTH, pad_mode=False, payload_bit_count=8).pack()
+    assert StreamHeader.unpack(good).payload_bit_count == 8
+    ragged = StreamHeader(k=8, scheme=Scheme.KNUTH, pad_mode=False, payload_bit_count=6)
+    with pytest.raises(StreamCorruptError):
+        StreamHeader.unpack(ragged.pack())
+    with pytest.raises(StreamCorruptError):
+        StreamHeader.unpack(good[:7] + b"\x02" + good[8:])  # pad flag 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_SCHEMES), st.sampled_from([4, 6, 10, 16]), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_mutated_streams_are_rejected_or_canonical(scheme, k, pad_mode, rng):
+    # bit flips, byte insertions and deletions, truncation after the header
+    n = rng.randrange(5 * k)
+    n -= 0 if pad_mode else n % k
+    bits = format(rng.getrandbits(n), f"0{n}b") if n else ""
+    stream = bytearray(frame_stream(bits, k, scheme, pad_mode))
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(16, len(stream) + 1), rng.randrange(4)
+        if op == 0 and i < len(stream):
+            stream[i] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            stream.insert(i, rng.randrange(256))
+        elif op == 2 and i < len(stream):
+            del stream[i]
+        else:
+            del stream[i:]
+    try:
+        bits = deframe_stream(bytes(stream))
+    except StreamCorruptError as err:
+        assert err.packet_index is not None
+        return
+    assert frame_stream(bits, k, scheme, pad_mode) == stream
+
+
+def reference_frame_stream(bits, k, scheme, pad_mode):
+    """The per-packet framing the block kernel replaced, kept as its specification."""
+    original = len(bits)
+    bits += "0" * (-original % k)
+    out = StreamHeader(k=k, scheme=scheme, pad_mode=pad_mode,
+                       payload_bit_count=original).pack()
+    for start in range(0, len(bits), k):
+        packet = encode_packet(bits[start : start + k], scheme)
+        out += encode_varint(packet.bit_length) + bits_to_bytes(packet.bits)
+    return out
+
+
+def reference_deframe_stream(data):
+    header = StreamHeader.unpack(data)
+    offset, decoded = 16, []
+    while offset < len(data):
+        bit_length, offset = decode_varint(data, offset)
+        nbytes = (bit_length + 7) // 8
+        bits = bytes_to_bits(data[offset : offset + nbytes], bit_length)
+        decoded.append(decode_packet(Packet(bits), header.k, header.scheme))
+        offset += nbytes
+    return "".join(decoded)[: header.payload_bit_count]
+
+
+@pytest.mark.parametrize("pad_mode", [False, True])
+@pytest.mark.parametrize("scheme,k", [
+    (scheme, k) for scheme in ALL_SCHEMES for k in (2, 4, 6, 10, 16, 18, 64, 1024)
+    if k > 2 or scheme not in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL)  # need k >= 4
+])
+def test_block_kernel_matches_per_packet_path(scheme, k, pad_mode):
+    rng = random.Random(k * 10 + scheme.value)
+    blocks = ["01" * (k // 2), "1" * k, "0" * k, "1" * (k // 2) + "0" * (k // 2)]
+    blocks += [format(rng.getrandbits(k), f"0{k}b") for _ in range(8 if k > 64 else 40)]
+    bits = "".join(blocks)
+    if pad_mode:
+        bits = bits[: len(bits) - k // 2 + 1]  # the last block is ragged
+    stream = frame_stream(bits, k, scheme, pad_mode)
+    assert stream == reference_frame_stream(bits, k, scheme, pad_mode)
+    assert deframe_stream(stream) == reference_deframe_stream(stream) == bits
+
+
 def test_bit_flip_detected_with_packet_index():
     bits = "01011111" + "11110000"
     stream = frame_stream(bits, 8, Scheme.PROPOSED_FL, pad_mode=False)
@@ -251,6 +402,14 @@ def test_cli_encode_decode_roundtrip(tmp_path, name):
                  str(src), str(enc)]) == 0
     assert main(["decode", str(enc), str(out)]) == 0
     assert out.read_bytes() == payload
+
+
+def test_cli_empty_file_roundtrip(tmp_path):
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    src.write_bytes(b"")
+    assert main(["encode", "--scheme", "knuth", "--k", "16", str(src), str(enc)]) == 0
+    assert main(["decode", str(enc), str(out)]) == 0
+    assert out.read_bytes() == b""
 
 
 def test_cli_encode_pad_flag(tmp_path):
