@@ -7,6 +7,7 @@ corruption.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import BalpackError
@@ -19,27 +20,32 @@ SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
 DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
+def _write(path: os.PathLike[str], data: bytes) -> None:
+    """Overwrite ``path`` in place: ext4 flushes a file truncated to zero on close."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        out.write(data)
+        if os.fstat(out.fileno()).st_size > len(data):  # an older, longer file
+            out.truncate()
+
+
 def _cmd_encode(args: argparse.Namespace) -> int:
     data = args.infile.read_bytes()
     bits = bytes_to_bits(data, 8 * len(data))
     stream = frame_stream(bits, args.k, SCHEME_NAMES[args.scheme], args.pad)
-    args.outfile.write_bytes(stream)
+    _write(args.outfile, stream)
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     bits = deframe_stream(args.infile.read_bytes())
     if len(bits) % 8:
-        print(f"error: decoded payload of {len(bits)} bits is not byte aligned",
-              file=sys.stderr)
-        return 1
-    args.outfile.write_bytes(bits_to_bytes(bits))
+        raise ValueError(f"decoded payload of {len(bits)} bits is not byte aligned")
+    _write(args.outfile, bits_to_bytes(bits))
     return 0
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
-    k_list = args.k_list if args.k_list else list(DEFAULT_K_LIST)
-    emit_tables(args.what, k_list, sys.stdout)
+    emit_tables(args.what, args.k_list or DEFAULT_K_LIST, sys.stdout)
     return 0
 
 

@@ -91,10 +91,8 @@ def decode_varint(data: bytes, offset: int, max_bytes: int = 10) -> tuple[int, i
 
 
 def bits_to_bytes(bits: str) -> bytes:
-    if not bits:
-        return b""
     nbytes = (len(bits) + 7) // 8
-    return (int(bits, 2) << (8 * nbytes - len(bits))).to_bytes(nbytes, "big")
+    return (int(bits or "0", 2) << (8 * nbytes - len(bits))).to_bytes(nbytes, "big")
 
 
 def bytes_to_bits(data: bytes, bit_count: int) -> str:

@@ -1,6 +1,7 @@
 """Framing, self-check and CLI tests."""
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -410,6 +411,27 @@ def test_cli_empty_file_roundtrip(tmp_path):
     assert main(["encode", "--scheme", "knuth", "--k", "16", str(src), str(enc)]) == 0
     assert main(["decode", str(enc), str(out)]) == 0
     assert out.read_bytes() == b""
+
+
+def test_cli_output_overwrites_existing_files_exactly(tmp_path):
+    """Outputs are written in place; an older file of any length leaves nothing behind."""
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    for payload, old in [(b"ab" * 100, b"\xff" * 5000), (b"ab" * 2000, b"\xff" * 5), (b"", b"x")]:
+        src.write_bytes(payload)
+        enc.write_bytes(old)
+        out.write_bytes(old)
+        assert main(["encode", "--scheme", "knuth", "--k", "16", str(src), str(enc)]) == 0
+        assert enc.read_bytes() == frame_stream(
+            "".join(f"{b:08b}" for b in payload), 16, Scheme.KNUTH)
+        assert main(["decode", str(enc), str(out)]) == 0
+        assert out.read_bytes() == payload
+
+
+def test_cli_decode_to_a_device(tmp_path):
+    src, enc = tmp_path / "input.bin", tmp_path / "stream.bpk"
+    src.write_bytes(b"abcd")
+    assert main(["encode", "--scheme", "proposed-fl", "--k", "16", str(src), str(enc)]) == 0
+    assert main(["decode", str(enc), os.devnull]) == 0
 
 
 def test_cli_encode_pad_flag(tmp_path):
