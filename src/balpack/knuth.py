@@ -48,7 +48,7 @@ def ka_encode(x: str) -> KnuthCodeword:
 
 
 def ka_decode(cw: KnuthCodeword) -> str:
-    """Recover the information word from a Knuth codeword."""
+    """Recover the information word from a codeword that :func:`ka_encode` emits."""
     check_word(cw.prefix)
     check_word(cw.payload)
     k = len(cw.payload)
@@ -56,7 +56,13 @@ def ka_decode(cw: KnuthCodeword) -> str:
         raise ValueError(f"payload length must be even >= 2, got {k}")
     if not is_balanced(cw.payload):
         raise CorruptCodewordError(f"payload {cw.payload!r} is not balanced")
+    if len(cw.prefix) != ceil_log2(k):
+        raise CorruptCodewordError(f"expected a {ceil_log2(k)}-bit prefix at k={k}, "
+                                   f"got {len(cw.prefix)} bits")
     e = int(cw.prefix, 2) + 1
     if e > k:
         raise CorruptCodewordError(f"decoded inversion index {e} exceeds k={k}")
-    return invert_prefix(cw.payload, e)
+    x = invert_prefix(cw.payload, e)
+    if first_balancing_index(x) != e:
+        raise CorruptCodewordError(f"{e} is not the first balancing index of {x!r}")
+    return x

@@ -7,14 +7,25 @@ channel (explicit end-of-packet), already balanced words travel with no
 prefix at all and the balanced member can be dropped from every subset,
 which caps the subset size at k/2 instead of k/2 + 1.
 
-Rank and unrank read y's running sums d_1..d_k in one O(k) pass, with no
-cache.  x_j = invert_prefix(y, j) has partial sums -d_1..-d_j and balancing
-target -d_j, so it is a member exactly when j is the first index at which d
-reaches the level d_j: the strict new maxima and minima of d give the
-unbalanced members, the first return to zero the balanced one.  Members
-x_j1, x_j2 with j1 < j2 first differ at bit j1 + 1, so x_j1 sorts first
-exactly when that bit of y is 0.  The explicit O(k^2) listings of
-:func:`subset_members` are the specification for tests and self-checks.
+Rank and unrank each make one left-to-right pass over the block, with no
+cache.  With d_0 = 0, d_1..d_k the running sums of x, t = d_k / 2 and e the
+first j with d_j = t, y = invert_prefix(x, e) has sums -d up to e and d - 2t
+after it.  invert_prefix(y, j) is a member of y's subset exactly when j is a
+first visit of y's sums (the first index at its level): new maxima and
+minima give the unbalanced members, the first return to zero the balanced
+one, so lambda is the span of y's sums.  Of two members, the one with the
+smaller j sorts first exactly when y's bit j + 1 is 0, so the compressed
+listing is the first visits followed by a 0, ascending, then those followed
+by a 1, descending.  An unbalanced x therefore ranks
+
+    rank = zeros_before + [x_{e+1} = 1] * (lambda - (hi_e - lo_e)),
+
+with zeros_before the first visits j < e of d with x_{j+1} = 1 and
+hi_e - lo_e the span of d over 0..e; the same pass reads lambda from the
+extremes of d before and after e.  The balanced member ranks lambda, last.
+Unrank scans y once into its first visits split by the next bit.  The
+explicit O(k^2) listings of :func:`subset_members` are the specification
+for tests and self-checks.
 
 Schemes
 -------
@@ -25,7 +36,7 @@ PROPOSED_VL   rank in max(1, ceil(log2 lambda)) bits, lambda = subset size
 PROPOSED_FULL PROPOSED_FL with the prefix re-encoded into balanced sextets
 
 One kernel, :class:`BlockCodec`, serves all five; full balancing is its
-single extra step, :func:`balpack.fourb6b.balance_prefix` on the rank prefix.
+single extra step, :func:`balpack.fourb6b.balance_rank` on the rank.
 It resolves the scheme once and checks nothing: streams are checked once per
 stream, and :func:`encode_packet` / :func:`decode_packet` are its checking
 string adapters.
@@ -36,13 +47,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 from .errors import CorruptPacketError
-from .fourb6b import balance_prefix, unbalance_prefix
+from .fourb6b import balance_rank, unbalance_rank
 from .knuth import ceil_log2
 from .words import (
-    bipolar,
     check_word,
     first_balancing_index,
     invert_prefix,
@@ -143,28 +152,67 @@ def subset_size_rds(y: str) -> int:
     return hi - lo
 
 
+def _first_visits(y: str) -> tuple[list[int], list[int]]:
+    """First visits j of the balanced word ``y``'s sums, ascending: (bit j + 1 is 0, is 1)."""
+    run = hi = lo = 0
+    zeros: list[int] = []
+    ones: list[int] = []
+    for j, c in enumerate(y, start=1):
+        if c == "1":
+            run += 1
+            if run <= hi:
+                continue
+            hi = run
+        else:
+            run -= 1
+            if run >= lo:
+                continue
+            lo = run
+        (ones if y[j] == "1" else zeros).append(j)  # j < k: d_k = 0 is no new level
+    return zeros, ones
+
+
 def member_order(y: str) -> list[int]:
     """Inversion lengths of the balanced word ``y``'s subset, in listing order.
 
     ``invert_prefix(y, member_order(y)[r])`` is member ``r`` of the
-    uncompressed listing.  Its last entry is the balanced member; without
-    it the list is the compressed listing, so lambda is one less than its
-    length.
+    uncompressed listing, the balanced member last.  The codec never builds
+    this list; it is the decode pass written out for the tests.
     """
-    d = list(accumulate(bipolar(y), initial=0))
-    visits = []
-    for levels in (range(1, max(d) + 1), range(-1, min(d) - 1, -1)):
-        j = 0
-        for level in levels:  # unit steps reach each new level after the last
-            j = d.index(level, j)
-            visits.append(j)
-    visits.sort()
-    # x_j sorts before every later member exactly when y[j] (bit j+1) is 0
-    return (
-        [j for j in visits if y[j] == "0"]
-        + [j for j in reversed(visits) if y[j] == "1"]
-        + [d.index(0, 1)]
-    )
+    zeros, ones = _first_visits(y)
+    return zeros + ones[::-1] + [level_index(y, 0)]
+
+
+def _rank(x: str, t: int) -> tuple[int, int, int]:
+    """First balancing index e, compressed rank and subset size of ``x``; t = d_k / 2 != 0."""
+    run = hi = lo = zeros_before = 0
+    bits = enumerate(x, start=1)
+    for e, c in bits:
+        if c == "1":
+            run += 1
+            if run <= hi:
+                continue
+            hi = run
+        else:
+            run -= 1
+            if run >= lo:
+                continue
+            lo = run
+        if run == t:  # the first balancing index is a first visit: t != 0
+            break
+        zeros_before += x[e] == "1"
+    top = bottom = t  # the extremes of d over e..k
+    for _, c in bits:
+        if c == "1":
+            run += 1
+            if run > top:
+                top = run
+        else:
+            run -= 1
+            if run < bottom:
+                bottom = run
+    lam = max(-lo, top - 2 * t) - min(-hi, bottom - 2 * t)  # y's sums: -d, then d - 2t
+    return e, zeros_before + (lam - (hi - lo) if x[e] == "1" else 0), lam
 
 
 def check_block_length(k: int, scheme: Scheme) -> None:
@@ -220,20 +268,24 @@ class BlockCodec:
 
     def encode(self, x: str, xi: int) -> tuple[int, int]:
         """Packet value and prefix bit count of the block ``x``, whose value is ``xi``."""
-        k, half = self.k, self.half
-        ones = xi.bit_count()
-        if ones == half and self.prefix_less:
+        k = self.k
+        t = xi.bit_count() - self.half
+        if not t and self.prefix_less:
             return xi, 0
-        e = level_index(x, ones - half)  # the first balancing index
+        if self.knuth or not t:
+            e = level_index(x, t)  # the first balancing index
+            y = xi ^ (((1 << e) - 1) << (k - e))
+            if self.knuth:  # the rank is e - 1
+                return (e - 1) << k | y, self.max_prefix
+            # BASELINE_FL lists a balanced x last, after the compressed subset
+            zeros, ones = _first_visits(format(y, self.fmt))
+            return (len(zeros) + len(ones)) << k | y, self.max_prefix
+        e, rank, lam = _rank(x, t)
         y = xi ^ (((1 << e) - 1) << (k - e))
-        if self.knuth:  # the rank is e - 1
-            return (e - 1) << k | y, self.max_prefix
-        order = member_order(format(y, self.fmt))
-        rank = order.index(e)
         if self.vl:
-            return rank << k | y, _vl_prefix(len(order) - 1)
+            return rank << k | y, _vl_prefix(lam)
         if self.full:
-            rank = int(balance_prefix(format(rank, f"0{self.rank_bits}b")), 2)
+            rank = balance_rank(rank, self.rank_bits)
         return rank << k | y, self.max_prefix
 
     def decode(self, v: int, p: int) -> str:
@@ -245,26 +297,34 @@ class BlockCodec:
                                      f"got {p + k}")
         rank = v >> k
         if self.full and p:
-            rank = int(unbalance_prefix(format(rank, f"0{p}b"), self.rank_bits), 2)
+            rank = unbalance_rank(rank, self.rank_bits)
         if y.bit_count() != half:
             raise CorruptPacketError(f"payload {format(y, self.fmt)!r} is not balanced")
         if not p:
             return format(y, self.fmt)
         if self.knuth:  # the inversion index e = rank + 1 is any of 1..k
-            order, size = range(1, k + 1), k
+            size = k
         else:
-            order = member_order(format(y, self.fmt))
-            lam = len(order) - 1
+            ys = format(y, self.fmt)
+            zeros, ones = _first_visits(ys)
+            lam = len(zeros) + len(ones)
             if self.vl and p != _vl_prefix(lam):
                 raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
-            # prefix-less schemes drop the balanced member, the last in the order
-            size = lam if self.prefix_less else len(order)
+            # prefix-less schemes drop the balanced member, ranked last
+            size = lam if self.prefix_less else lam + 1
         if rank >= size:
             raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
-        e = order[rank]
+        if self.knuth:
+            e = rank + 1
+        elif rank < len(zeros):
+            e = zeros[rank]
+        elif rank < lam:
+            e = ones[lam - 1 - rank]
+        else:  # BASELINE_FL's balanced member
+            e = level_index(ys, 0)
         x = y ^ (((1 << e) - 1) << (k - e))
         xs = format(x, self.fmt)
-        # the ranked orders hold first balancing indexes only; Knuth's range does not
+        # the ranked pass yields first balancing indexes only; Knuth's prefix does not
         if self.knuth and level_index(xs, x.bit_count() - half) != e:
             raise CorruptPacketError(f"{e} is not the first balancing index of {xs!r}")
         return xs

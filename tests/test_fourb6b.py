@@ -4,8 +4,15 @@ import itertools
 
 import pytest
 
-from balpack.errors import CorruptPacketError, InvalidSextetError
-from balpack.fourb6b import balance_prefix, decode_sextet, encode_nibble
+from balpack.errors import BalpackError, CorruptPacketError, InvalidSextetError
+from balpack.fourb6b import (
+    balance_prefix,
+    balance_rank,
+    decode_sextet,
+    encode_nibble,
+    unbalance_prefix,
+    unbalance_rank,
+)
 from balpack.subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
 from balpack.words import is_balanced
 
@@ -135,3 +142,41 @@ def test_full_decode_rejects_nonzero_padding():
     packet = Packet(encode_nibble("1100") + "0011")
     with pytest.raises(CorruptPacketError):
         decode_packet(packet, 4, FULL)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BalpackError as exc:
+        return type(exc)
+
+
+def table_unbalance(value, r):
+    # the reference table's inverse, sextet by sextet, then the zero pad
+    inverse = {int(s, 2): int(n, 2) for n, s in SEXTET_TABLE.items()}
+    n = (r + 3) // 4
+    padded = 0
+    for i in reversed(range(n)):
+        sextet = value >> 6 * i & 0x3F
+        if sextet not in inverse:
+            return InvalidSextetError
+        padded = padded << 4 | inverse[sextet]
+    if padded & ((1 << (4 * n - r)) - 1):
+        return CorruptPacketError
+    return padded >> (4 * n - r)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_int_rank_steps_match_table_and_string_path(r):
+    # r = 4 covers all 16 nibbles and all 64 sextets; other r add the zero pad
+    n, width = (r + 3) // 4, 6 * ((r + 3) // 4)
+    for rank in range(2**r):
+        padded = format(rank << (4 * n - r), f"0{4 * n}b")
+        expect = "".join(SEXTET_TABLE[padded[i : i + 4]] for i in range(0, 4 * n, 4))
+        encoded = balance_rank(rank, r)
+        assert format(encoded, f"0{width}b") == balance_prefix(format(rank, f"0{r}b")) == expect
+    for value in range(2**width):
+        expect = table_unbalance(value, r)
+        assert outcome(unbalance_rank, value, r) == expect
+        got = outcome(unbalance_prefix, format(value, f"0{width}b"), r)
+        assert got == (expect if isinstance(expect, type) else format(expect, f"0{r}b"))

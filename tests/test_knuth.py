@@ -57,3 +57,28 @@ def test_roundtrip_exhaustive(k):
         assert len(cw.prefix) == nbits
         assert is_balanced(cw.payload)
         assert ka_decode(cw) == x
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_decode_accepts_exactly_the_encoder_image(k):
+    # every prefix and payload: an index that is not the first balancing
+    # index of the decoded word is refused, so each word decodes from one
+    # codeword only
+    accepted = 0
+    for prefix in itertools.product("01", repeat=ceil_log2(k)):
+        for payload in itertools.product("01", repeat=k):
+            cw = KnuthCodeword("".join(prefix), "".join(payload))
+            try:
+                x = ka_decode(cw)
+            except CorruptCodewordError:
+                continue
+            accepted += 1
+            assert ka_encode(x) == cw
+    assert accepted == 2**k
+
+
+def test_decode_rejects_prefix_of_wrong_length():
+    assert ka_decode(KnuthCodeword("00", "0011")) == "1011"
+    for prefix in ("0", "000"):
+        with pytest.raises(CorruptCodewordError):
+            ka_decode(KnuthCodeword(prefix, "0011"))

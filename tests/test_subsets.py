@@ -247,6 +247,45 @@ def test_encode_rank_matches_listing_oracle(data):
     rank, y = int(packet.bits[:nbits], 2), packet.bits[nbits:]
     assert rank == subset_members(y, includes_balanced=True).members.index(x)
     assert decode_packet(packet, k, Scheme.BASELINE_FL) == x
+    # PROPOSED_VL's rank and prefix length, then every rank below each
+    # scheme's subset size decodes to that listing entry
+    members = subset_members(y, includes_balanced=True).members
+    lam = len(members) - 1
+    vl = encode_packet(x, Scheme.PROPOSED_VL)
+    if is_balanced(x):
+        assert vl.bits == x
+    else:
+        p = vl.bit_length - k
+        assert p == prefix_length(k, Scheme.PROPOSED_VL, lam)
+        assert (int(vl.bits[:p], 2), vl.bits[p:]) == (members.index(x), y)
+    for scheme in (Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL):
+        size = lam + (scheme is Scheme.BASELINE_FL)
+        nbits = prefix_length(k, scheme, lam if scheme is Scheme.PROPOSED_VL else None)
+        for rank in range(size):
+            packet = Packet(format(rank, f"0{nbits}b") + y)
+            assert decode_packet(packet, k, scheme) == members[rank]
+
+
+@pytest.mark.parametrize("scheme", RANKED_SCHEMES)
+@pytest.mark.parametrize("k", [4, 16, 1024])
+def test_balanced_block_ranks_last_or_travels_bare(k, scheme):
+    # t = 0: BASELINE_FL ranks a balanced x last, at the compressed size
+    # lambda of its balanced word; the prefix-less schemes send it bare
+    rng = random.Random(k)
+    shuffled = list("01" * (k // 2))
+    rng.shuffle(shuffled)
+    half = "0" * (k // 2)
+    for x in ("01" * (k // 2), "10" * (k // 2), half + half.replace("0", "1"),
+              "".join(shuffled)):
+        packet = encode_packet(x, scheme)
+        if scheme is Scheme.BASELINE_FL:
+            nbits = prefix_length(k, scheme)
+            rank, y = int(packet.bits[:nbits], 2), packet.bits[nbits:]
+            assert rank == subset_size_rds(y)
+            assert subset_members(y, includes_balanced=True).members[rank] == x
+        else:
+            assert packet.bits == x
+        assert decode_packet(packet, k, scheme) == x
 
 
 @pytest.mark.parametrize("scheme", RANKED_SCHEMES)
@@ -255,6 +294,7 @@ def test_codec_path_never_lists(monkeypatch, scheme):
         raise AssertionError("the codec built an explicit subset listing")
 
     monkeypatch.setattr(subsets, "_members", listing_forbidden)
+    monkeypatch.setattr(subsets, "member_order", listing_forbidden)
     k = 1024
     rng = random.Random(1024)
     blocks = ["01" * (k // 2), "1" * k, "0" * k]
