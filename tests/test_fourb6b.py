@@ -151,16 +151,18 @@ def outcome(fn, *args):
         return type(exc)
 
 
+TABLE_INVERSE = {int(s, 2): int(n, 2) for n, s in SEXTET_TABLE.items()}
+
+
 def table_unbalance(value, r):
     # the reference table's inverse, sextet by sextet, then the zero pad
-    inverse = {int(s, 2): int(n, 2) for n, s in SEXTET_TABLE.items()}
     n = (r + 3) // 4
     padded = 0
     for i in reversed(range(n)):
         sextet = value >> 6 * i & 0x3F
-        if sextet not in inverse:
+        if sextet not in TABLE_INVERSE:
             return InvalidSextetError
-        padded = padded << 4 | inverse[sextet]
+        padded = padded << 4 | TABLE_INVERSE[sextet]
     if padded & ((1 << (4 * n - r)) - 1):
         return CorruptPacketError
     return padded >> (4 * n - r)
