@@ -11,8 +11,7 @@ import os
 import sys
 
 from .errors import BalpackError
-from .redundancy import emit_tables
-from .stream import bits_to_bytes, bytes_to_bits, deframe_stream, frame_stream, selfcheck
+from .stream import bits_to_bytes, bytes_to_bits, deframe_stream, frame_stream
 from .subsets import Scheme
 
 SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
@@ -44,12 +43,17 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+# The analytics load only in their own commands: encode and decode never need them.
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .redundancy import emit_tables
+
     emit_tables(args.what, args.k_list or DEFAULT_K_LIST, sys.stdout)
     return 0
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
+    from .invariants import selfcheck
+
     report = selfcheck(args.k_max)
     for entry in report.entries:
         status = "PASS" if entry.passed else "FAIL"

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .subsets import subset_members
 
@@ -31,8 +31,7 @@ from .subsets import subset_members
 BRUTEFORCE_MAX_K = 20
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Counts of balanced length-k words per compressed-subset size."""
 
     k: int

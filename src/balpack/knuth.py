@@ -7,7 +7,7 @@ bits.  Decoding inverts those bits back.  No lookup tables, any even k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CorruptCodewordError
 from .words import check_word, first_balancing_index, invert_prefix, is_balanced
@@ -20,8 +20,7 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class KnuthCodeword:
+class KnuthCodeword(NamedTuple):
     """Inversion-index prefix plus balanced payload."""
 
     prefix: str

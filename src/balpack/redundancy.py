@@ -1,25 +1,23 @@
 """Average prefix-length metrics and the comparison tables built from them.
 
-All ratios of big integers go through ``Fraction`` before touching floats;
-at k = 1024 both numerators and denominators overflow a double on their
-own, while every ratio is a tame number in [0, 1].
+Every ratio of big integers is one int true division, which CPython rounds
+correctly: the same double as ``float(Fraction(n, d))``, the tests' oracle,
+without the gcd.  At k = 1024 both numerators and denominators overflow a
+double on their own, while every ratio is a tame number in [0, 1].
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .counting import subset_size_count
 from .knuth import ceil_log2
 from .subsets import Scheme, prefix_length
 
 
-@dataclass(frozen=True)
-class RedundancyRow:
+class RedundancyRow(NamedTuple):
     """One comparison-table row of average prefix bits."""
 
     k: int
@@ -29,8 +27,7 @@ class RedundancyRow:
     h2: float
 
 
-@dataclass(frozen=True)
-class PrefixWeights:
+class PrefixWeights(NamedTuple):
     """Weighted subset-size distribution behind one average-length metric.
 
     ``weights[size]`` is the number of information words carrying a prefix
@@ -44,7 +41,7 @@ class PrefixWeights:
 
     def average(self, bits_for: Callable[[int], float]) -> float:
         return sum(
-            float(Fraction(n, self.normalizer)) * bits_for(size)
+            n / self.normalizer * bits_for(size)
             for size, n in self.weights.items()
         )
 
@@ -108,11 +105,10 @@ def h2_avg(k: int) -> float:
     two.
     """
     _check_k(k)
-    total = 0.0
+    total, ways = 0.0, math.comb(k - 2, k // 2 - 1)
     for c in range(1, k // 2 + 1):
-        share = float(
-            Fraction(math.comb(k - 1 - c, k // 2 - c), 2 ** (k - 1 - c))
-        )
+        share = ways / (1 << (k - 1 - c))  # ways = C(k-1-c, k/2-c)
+        ways = ways * (k // 2 - c) // (k - 1 - c)  # C(n-1, m-1) = C(n, m) * m // n
         low = c.bit_length() - 1  # floor(log2 c)
         high = ceil_log2(c)
         d = c - 2**low

@@ -1,4 +1,4 @@
-"""Byte-stream framing for packets plus the invariant self-check harness.
+"""Byte-stream framing for packets.
 
 A stream is a 16-byte header followed by one frame per block.  Each frame
 is a varint bit count and then the packet bits packed most significant
@@ -12,28 +12,17 @@ Input is checked once per stream; blocks pass through
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .counting import balanced_words, count_table, subset_size_count_bruteforce
 from .errors import BalpackError, InputLengthError, StreamCorruptError
-from .fourb6b import encode_nibble
-from .subsets import (
-    BlockCodec,
-    Scheme,
-    check_block_length,
-    subset_members,
-    subset_size_rds,
-)
-from .words import first_balancing_index, invert_prefix, is_balanced
+from .subsets import BlockCodec, Scheme, check_block_length
 
 MAGIC = b"BPK1"
 _HEADER = struct.Struct(">4sHBBQ")  # magic, k, scheme, pad flag, payload bit count
 
 
-@dataclass(frozen=True)
-class StreamHeader:
+class StreamHeader(NamedTuple):
     k: int
     scheme: Scheme
     pad_mode: bool
@@ -172,138 +161,3 @@ def deframe_stream(data: bytes) -> str:
             raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
         decoded[-1] = last[:kept]
     return "".join(decoded)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
-class SelfCheckReport:
-    entries: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(entry.passed for entry in self.entries)
-
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.entries.append(CheckResult(name=name, passed=passed, detail=detail))
-
-
-# Reference listings for k = 4 (the worked six-column example: uncompressed
-# listings keep their balanced word in the last row, compressed ones drop it).
-EXAMPLE_K4_BASELINE = {
-    "0011": ("1011", "1111", "1100"),
-    "0101": ("1101", "1001"),
-    "0110": ("1000", "1110", "1010"),
-    "1001": ("0001", "0111", "0101"),
-    "1010": ("0010", "0110"),
-    "1100": ("0000", "0100", "0011"),
-}
-EXAMPLE_K4_PROPOSED = {
-    y: members[:-1] for y, members in EXAMPLE_K4_BASELINE.items()
-}
-
-# Known-good sextet table the smallest-index rule must reproduce.
-SEXTET_TABLE = {
-    "0000": "110010", "0001": "100101", "0010": "101001", "0011": "110100",
-    "0100": "110001", "0101": "100110", "0110": "101010", "0111": "100011",
-    "1000": "011100", "1001": "010110", "1010": "011010", "1011": "001101",
-    "1100": "001011", "1101": "010101", "1110": "011001", "1111": "001110",
-}
-
-
-def selfcheck(k_max: int) -> SelfCheckReport:
-    """Run the structural invariants exhaustively for every even k <= k_max."""
-    if k_max > 16:
-        raise ValueError(f"self-check is exhaustive; k_max is capped at 16, got {k_max}")
-    if k_max < 4:
-        raise ValueError(f"k_max must be at least 4, got {k_max}")
-    report = SelfCheckReport()
-
-    for k in range(4, k_max + 1, 2):
-        bad_balance = [
-            y for y in balanced_words(k)
-            if not is_balanced(invert_prefix(y, first_balancing_index(y)))
-        ]
-        report.add(
-            f"k={k}: balanced words balance to balanced words",
-            not bad_balance,
-            f"counterexample {bad_balance[0]}" if bad_balance else "",
-        )
-
-        sizes_ok, span_ok, one_balanced = True, True, True
-        seen_unbalanced: set[str] = set()
-        seen_all: set[str] = set()
-        detail = ""
-        for y in balanced_words(k):
-            baseline = subset_members(y, includes_balanced=True).members
-            proposed = subset_members(y, includes_balanced=False).members
-            lam = len(proposed)
-            if not 1 <= lam <= k // 2:
-                sizes_ok, detail = False, f"size {lam} at {y}"
-            if subset_size_rds(y) != lam:
-                span_ok, detail = False, f"running-sum span mismatch at {y}"
-            balanced_members = [m for m in baseline if is_balanced(m)]
-            if len(balanced_members) != 1 or baseline[-1] != balanced_members[0]:
-                one_balanced, detail = False, f"balanced member rule broken at {y}"
-            seen_unbalanced.update(proposed)
-            seen_all.update(baseline)
-        n_unbal = 2**k - math.comb(k, k // 2)
-        report.add(f"k={k}: subset sizes within 1..k/2", sizes_ok, detail)
-        report.add(f"k={k}: size equals running-sum span", span_ok, detail)
-        report.add(f"k={k}: exactly one balanced member, listed last", one_balanced, detail)
-        report.add(
-            f"k={k}: compressed subsets partition the unbalanced words",
-            len(seen_unbalanced) == n_unbal and not any(map(is_balanced, seen_unbalanced)),
-            f"covered {len(seen_unbalanced)} of {n_unbal}",
-        )
-        report.add(
-            f"k={k}: uncompressed subsets partition all words",
-            len(seen_all) == 2**k,
-            f"covered {len(seen_all)} of {2**k}",
-        )
-
-        table = count_table(k)
-        try:
-            table.validate()
-            identities = True
-        except AssertionError:
-            identities = False
-        report.add(f"k={k}: count identities (sum and weighted sum)", identities)
-        brute = {s: subset_size_count_bruteforce(s, k) for s in range(1, k // 2 + 1)}
-        report.add(
-            f"k={k}: exact counts match brute-force enumeration",
-            brute == table.counts,
-            f"exact {table.counts} vs brute {brute}" if brute != table.counts else "",
-        )
-
-    listings_ok = all(
-        subset_members(y, includes_balanced=True).members == expect
-        for y, expect in EXAMPLE_K4_BASELINE.items()
-    ) and all(
-        subset_members(y, includes_balanced=False).members == expect
-        for y, expect in EXAMPLE_K4_PROPOSED.items()
-    )
-    report.add("k=4: worked-example listings reproduced", listings_ok)
-
-    sextets = {n: encode_nibble(n) for n in SEXTET_TABLE}
-    report.add(
-        "4B6B: smallest-index rule reproduces all 16 codewords",
-        sextets == SEXTET_TABLE,
-        "" if sextets == SEXTET_TABLE else f"got {sextets}",
-    )
-
-    if k_max >= 6:
-        n26 = subset_size_count_bruteforce(2, 6)
-        report.notes.append(
-            f"documented discrepancy: the simple closed form 2*2^(k/2-1) for the "
-            f"size-2 count holds only at k=4; at k=6 it gives 8 while direct "
-            f"enumeration gives {n26}, and the sum identities force the "
-            f"enumerated value, so that closed form is recorded as wrong for k >= 6"
-        )
-    return report

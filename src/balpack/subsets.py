@@ -45,8 +45,8 @@ string adapters.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
@@ -75,9 +75,8 @@ PREFIX_LESS_SCHEMES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SubsetListing:
-    """Ordered candidate list for one balanced word."""
+class SubsetListing(NamedTuple):
+    """Ordered candidate list for one balanced word; ``len`` counts its members, not its fields."""
 
     y: str
     members: tuple[str, ...]
@@ -87,14 +86,17 @@ class SubsetListing:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One transmitted codeword; its length is the end-of-packet information."""
-
+class _PacketFields(NamedTuple):
     bits: str
 
-    def __post_init__(self) -> None:
-        check_word(self.bits)
+
+class Packet(_PacketFields):
+    """One transmitted codeword; its length is the end-of-packet information."""
+
+    __slots__ = ()
+
+    def __new__(cls, bits: str) -> Packet:
+        return super().__new__(cls, check_word(bits))
 
     @property
     def bit_length(self) -> int:
@@ -245,7 +247,7 @@ def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
 
 
 def _vl_prefix(lam: int) -> int:
-    return max(1, ceil_log2(lam))  # the 1-bit floor of prefix_length's VL rule
+    return (lam - 1).bit_length() or 1  # ceil_log2(lam), with prefix_length's 1-bit floor
 
 
 class BlockCodec:

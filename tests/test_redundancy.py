@@ -2,10 +2,14 @@
 
 import io
 import math
+from fractions import Fraction
 
 import pytest
 
+from balpack.knuth import ceil_log2
 from balpack.redundancy import (
+    _baseline_weights,
+    _compressed_weights,
     balanced_prefix_rows,
     comparison_rows,
     count_rows,
@@ -52,6 +56,26 @@ def test_table1_reproduced(k):
     assert h_avg(k) == pytest.approx(h, abs=2e-3)
     assert h1_avg(k) == pytest.approx(h1, abs=2e-3)
     assert h2_avg(k) == pytest.approx(h2, abs=2e-3)
+
+
+@pytest.mark.parametrize("k", [4, 16, 256, 2048])
+def test_int_true_division_matches_the_fraction_oracle(k):
+    """Each ratio is one correctly rounded division, the same double Fraction gives."""
+    for weights in (_compressed_weights(k), _baseline_weights(k)):
+        d = weights.normalizer
+        for n in weights.weights.values():
+            assert n / d == float(Fraction(n, d))
+        assert weights.average(math.log2) == sum(
+            float(Fraction(n, d)) * math.log2(s) for s, n in weights.weights.items())
+    oracle = 0.0
+    for c in range(1, k // 2 + 1):
+        n, d = math.comb(k - 1 - c, k // 2 - c), 2 ** (k - 1 - c)
+        assert n / d == float(Fraction(n, d))
+        low, high = c.bit_length() - 1, ceil_log2(c)
+        spread = c - 2**low
+        oracle += float(Fraction(n, d)) * (
+            (c - 2 * spread) * low * 2.0**-low + 2 * spread * high * 2.0**-high)
+    assert h2_avg(k) == oracle
 
 
 def test_h0_approx():

@@ -28,8 +28,8 @@ from balpack.stream import (
     deframe_stream,
     encode_varint,
     frame_stream,
-    selfcheck,
 )
+from balpack.invariants import selfcheck
 from balpack.subsets import Packet, Scheme, decode_packet, encode_packet
 from balpack.words import is_balanced
 
@@ -492,3 +492,16 @@ def test_cli_import_leaves_mpmath_unloaded():
         env={"PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_loads_only_the_codec_path():
+    """Encode and decode load neither the analytics nor the self-check harness."""
+    unwanted = ["dataclasses", "inspect", "fractions", "decimal", "csv",
+                "balpack.counting", "balpack.redundancy", "balpack.invariants"]
+    code = f"import sys, balpack.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src_dir)},
+    )
+    assert result.stdout.strip() == "[]"

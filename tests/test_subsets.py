@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from balpack import subsets
 from balpack.errors import BalpackError, CorruptPacketError
+from balpack.knuth import ceil_log2
 from balpack.subsets import (
     Packet,
     Scheme,
@@ -84,6 +85,9 @@ def test_prefix_length_examples():
     assert prefix_length(4, Scheme.PROPOSED_FULL) == 6
     assert prefix_length(64, Scheme.PROPOSED_VL, lam=1) == 1
     assert prefix_length(64, Scheme.PROPOSED_VL, lam=5) == 3
+    k = 2048
+    for lam in range(1, k // 2 + 1):  # the rule: ceil(log2 lambda) with a 1-bit floor
+        assert prefix_length(k, Scheme.PROPOSED_VL, lam=lam) == max(1, ceil_log2(lam))
 
 
 def test_prefix_length_bad_arguments():
