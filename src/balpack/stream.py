@@ -20,6 +20,8 @@ from .subsets import BlockCodec, Scheme, check_block_length
 
 MAGIC = b"BPK1"
 _HEADER = struct.Struct(">4sHBBQ")  # magic, k, scheme, pad flag, payload bit count
+MAX_K = 0xFFFE  # the largest even k the 16-bit header field holds
+_CHECK_SLICE = 1 << 16  # input characters checked per copy
 
 
 class StreamHeader(NamedTuple):
@@ -92,8 +94,11 @@ def bytes_to_bits(data: bytes, bit_count: int) -> str:
 
 def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytes:
     """Encode a bit string block by block into a framed byte stream."""
-    if bits.strip("01"):
-        raise ValueError("input must be a string over 0/1")
+    for i in range(0, len(bits), _CHECK_SLICE):  # non-ASCII becomes "?", which stays
+        if bits[i : i + _CHECK_SLICE].encode("ascii", "replace").translate(None, b"01"):
+            raise ValueError("input must be a string over 0/1")
+    if k > MAX_K:
+        raise ValueError(f"block length {k} exceeds {MAX_K}, the most the stream header holds")
     codec = BlockCodec(k, scheme)
     original = len(bits)
     if original % k and not pad_mode:

@@ -182,7 +182,7 @@ def member_order(y: str) -> list[int]:
     this list; it is the decode pass written out for the tests.
     """
     zeros, ones = _first_visits(y)
-    return zeros + ones[::-1] + [level_index(y, 0)]
+    return zeros + ones[::-1] + [level_index(int(y, 2), len(y), 0)]
 
 
 def _rank(x: str, t: int) -> tuple[int, int, int]:
@@ -275,7 +275,7 @@ class BlockCodec:
         if not t and self.prefix_less:
             return xi, 0
         if self.knuth or not t:
-            e = level_index(x, t)  # the first balancing index
+            e = level_index(xi, k, t)  # the first balancing index
             y = xi ^ (((1 << e) - 1) << (k - e))
             if self.knuth:  # the rank is e - 1
                 return (e - 1) << k | y, self.max_prefix
@@ -323,13 +323,13 @@ class BlockCodec:
         elif rank < lam:
             e = ones[lam - 1 - rank]
         else:  # BASELINE_FL's balanced member
-            e = level_index(ys, 0)
+            e = level_index(y, k, 0)
         x = y ^ (((1 << e) - 1) << (k - e))
-        xs = format(x, self.fmt)
         # the ranked pass yields first balancing indexes only; Knuth's prefix does not
-        if self.knuth and level_index(xs, x.bit_count() - half) != e:
-            raise CorruptPacketError(f"{e} is not the first balancing index of {xs!r}")
-        return xs
+        if self.knuth and level_index(x, k, x.bit_count() - half) != e:
+            raise CorruptPacketError(f"{e} is not the first balancing index of "
+                                     f"{format(x, self.fmt)!r}")
+        return format(x, self.fmt)
 
 
 def encode_packet(x: str, scheme: Scheme) -> Packet:

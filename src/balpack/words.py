@@ -5,12 +5,15 @@ also the literal format used by the CLI and the test fixtures.  All numeric
 quantities use the bipolar convention 0 -> -1, 1 -> +1, so a word is
 balanced exactly when its disparity is zero.  Index arguments count bits
 from 1; index 0 is legal only where it means "invert nothing".
+
+The one exception is :func:`level_index`, the codec's inner search, which
+takes a block as its integer value ``v`` and its bit count ``k`` (the first
+bit is the most significant) and walks it a byte at a time.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import indexOf
 from typing import NamedTuple
 
 _FLIP = str.maketrans("01", "10")
@@ -49,13 +52,8 @@ def rds_extrema(w: str) -> RdsExtrema:
     word visits minus one.
     """
     check_word(w)
-    d = list(accumulate(bipolar(w)))
+    d = list(accumulate(memoryview(w.encode().translate(_BIPOLAR)).cast("b")))
     return RdsExtrema(max(d), min(d))
-
-
-def bipolar(w: str) -> memoryview:
-    """The bits of ``w`` (unchecked) as -1/+1 values, for C-level iteration."""
-    return memoryview(w.encode().translate(_BIPOLAR)).cast("b")
 
 
 def invert_prefix(w: str, j: int) -> str:
@@ -86,16 +84,44 @@ def first_balancing_index(w: str) -> int:
     k = len(w)
     if k % 2:
         raise ValueError(f"no balancing index exists for odd length {k}")
-    return level_index(w, w.count("1") - k // 2)
+    v = int(w, 2)
+    return level_index(v, k, v.bit_count() - k // 2)
 
 
-def level_index(w: str, level: int) -> int:
-    """Smallest j >= 1 with d_j = ``level`` (``ValueError`` if none); ``w`` is unchecked."""
-    if len(w) > 64:  # on shorter words the plain loop below is faster
-        return indexOf(accumulate(bipolar(w)), level) + 1
-    run = 0
-    for j, c in enumerate(w, start=1):
-        run += 1 if c == "1" else -1
-        if run == level:
-            return j
-    raise ValueError(f"the running sums of {w!r} never reach {level}")
+#: Per byte value: its net bipolar sum, and per level -8..8 the first bit
+#: (1..8, 0 for none) at which its running sum reaches that level, stored at
+#: the level as a Python index, so row[-3] is level -3.  Built on first use.
+_BYTE_WALK: tuple[list[int], list[bytes]] | None = None
+
+
+def _build_byte_walk() -> tuple[list[int], list[bytes]]:
+    global _BYTE_WALK
+    nets, rows = [], []
+    for b in range(256):
+        row, run = [0] * 17, 0
+        for j in range(1, 9):
+            run += 1 if b >> (8 - j) & 1 else -1
+            row[run] = row[run] or j
+        nets.append(run)
+        rows.append(bytes(row))
+    _BYTE_WALK = nets, rows
+    return _BYTE_WALK
+
+
+def level_index(v: int, k: int, level: int) -> int:
+    """Smallest j >= 1 with d_j = ``level`` in the ``k``-bit word of value ``v``.
+
+    Raises ``ValueError`` if no j <= k exists.  The walk steps one byte at a
+    time and looks a byte up only while the level is within its reach; the
+    zero fill of a partial last byte can never yield an index past ``k``.
+    """
+    nets, rows = _BYTE_WALK or _build_byte_walk()
+    todo, done = level, 0  # the level less the sum so far; bits walked
+    for b in (v << (-k % 8)).to_bytes((k + 7) // 8, "big"):
+        if -9 < todo < 9 and (j := rows[b][todo]):
+            if done + j > k:
+                break
+            return done + j
+        todo -= nets[b]
+        done += 8
+    raise ValueError(f"the running sums of {format(v, f'0{k}b')!r} never reach {level}")

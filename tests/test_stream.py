@@ -20,7 +20,9 @@ from balpack.counting import subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
 from balpack.knuth import ceil_log2
 from balpack.stream import (
+    _CHECK_SLICE,
     MAGIC,
+    MAX_K,
     StreamHeader,
     bits_to_bytes,
     bytes_to_bits,
@@ -111,6 +113,27 @@ def test_frame_stream_rejects_junk():
         frame_stream("0101x111", 4, Scheme.KNUTH)
     with pytest.raises(ValueError):
         frame_stream("0101", 3, Scheme.KNUTH)
+
+
+@pytest.mark.parametrize("bits", ["0_01", " 0101 ", "0101\n", "+0101", "\u0660\u0661\u0660\u0661"])
+def test_frame_stream_rejects_what_int_accepts(bits):
+    int(bits, 2)  # the block conversion alone would take these
+    with pytest.raises(ValueError, match="0/1"):
+        frame_stream(bits, 4, Scheme.KNUTH, pad_mode=True)
+
+
+@pytest.mark.parametrize("where", [_CHECK_SLICE - 1, _CHECK_SLICE, 2 * _CHECK_SLICE + 3])
+def test_frame_stream_rejects_junk_past_the_first_check_slice(where):
+    bits = "01" * _CHECK_SLICE + "0101"
+    bits = bits[:where] + "2" + bits[where + 1:]
+    with pytest.raises(ValueError, match="0/1"):
+        frame_stream(bits, 4, Scheme.KNUTH, pad_mode=True)
+
+
+def test_frame_stream_rejects_block_lengths_the_header_cannot_hold():
+    for k in (MAX_K + 2, 1 << 20):
+        with pytest.raises(ValueError, match="header"):
+            frame_stream("0" * k, k, Scheme.KNUTH)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL])
@@ -461,6 +484,14 @@ def test_cli_rejects_odd_k(tmp_path):
                  str(src), str(tmp_path / "o")]) == 1
 
 
+def test_cli_rejects_k_beyond_the_header_field(tmp_path, capsys):
+    src, out = tmp_path / "input.bin", tmp_path / "o"
+    src.write_bytes(bytes(8192))
+    assert main(["encode", "--scheme", "knuth", "--k", "65536", str(src), str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: block length 65536")
+    assert not out.exists()
+
+
 def test_cli_tables(capsys):
     assert main(["tables", "--what", "table1", "--k-list", "4,8"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -505,3 +536,15 @@ def test_cli_import_loads_only_the_codec_path():
         env={"PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_walk_table():
+    """The byte-walk table is built by the first walk, so it stays out of set-up time."""
+    code = ("import balpack.cli; from balpack import words; print(words._BYTE_WALK is None); "
+            "words.level_index(1, 2, -1); print(words._BYTE_WALK is None)")
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src_dir)},
+    )
+    assert result.stdout.split() == ["True", "False"]

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balpack.words import (
@@ -12,6 +12,7 @@ from balpack.words import (
     first_balancing_index,
     invert_prefix,
     is_balanced,
+    level_index,
     rds_extrema,
 )
 
@@ -23,6 +24,23 @@ even_words = st.integers(min_value=1, max_value=8).flatmap(
 
 def oracle_invert(w: str, j: int) -> str:
     return "".join("1" if c == "0" else "0" for c in w[:j]) + w[j:]
+
+
+def oracle_level_index(w: str, level: int) -> int | None:
+    """The per-bit walk: smallest j >= 1 with d_j = level, None if there is none."""
+    run = 0
+    for j, c in enumerate(w, start=1):
+        run += 1 if c == "1" else -1
+        if run == level:
+            return j
+    return None
+
+
+def walk_or_none(v: int, k: int, level: int) -> int | None:
+    try:
+        return level_index(v, k, level)
+    except ValueError:
+        return None
 
 
 def oracle_sums(w: str) -> list[int]:
@@ -126,3 +144,35 @@ def test_balanced_words_balance_to_balanced_words_k16():
         e = first_balancing_index(y)
         assert e >= 1
         assert is_balanced(invert_prefix(y, e))
+
+
+def test_level_index_matches_per_bit_oracle_exhaustive():
+    # every word of every length up to 12 bits, so each fill width 0..7 occurs
+    for k in range(1, 13):
+        for v in range(1 << k):
+            w = format(v, f"0{k}b")
+            for level in range(-k - 1, k + 2):
+                assert walk_or_none(v, k, level) == oracle_level_index(w, level), (w, level)
+
+
+@pytest.mark.parametrize("residue", [0, 2, 4, 6])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_level_index_matches_per_bit_oracle_long_words(residue, data):
+    k = 8 * data.draw(st.integers(0 if residue else 1, (1026 - residue) // 8)) + residue
+    w = data.draw(st.text(alphabet="01", min_size=k, max_size=k))
+    sums = oracle_sums(w)
+    level = data.draw(st.sampled_from(sums) | st.integers(min_value=-k - 1, max_value=k + 1))
+    assert walk_or_none(int(w, 2), k, level) == oracle_level_index(w, level)
+    t = sums[-1] // 2  # the level of the first balancing index, for even k
+    assert walk_or_none(int(w, 2), k, t) == oracle_level_index(w, t)
+
+
+def test_level_index_unreachable_levels_raise():
+    # each level is reached only in the zero fill of the last byte, or never
+    for v, k, level in [(0b10, 2, -1), (0b1010, 4, -1), (0b11, 2, 3), (0b11, 2, -1),
+                        (int("10" * 513, 2), 1026, -1), (0, 1024, 1), (0, 1024, -1025)]:
+        with pytest.raises(ValueError):
+            level_index(v, k, level)
+    assert level_index(0b10, 2, 0) == 2
+    assert level_index(0, 1024, -1024) == 1024
