@@ -162,11 +162,10 @@ def subset_size_count_bruteforce(size: int, k: int) -> int:
     return _bruteforce_table(k).get(size, 0)
 
 
-def count_table(k: int, *, bruteforce: bool = False) -> CountTable:
+def count_table(k: int) -> CountTable:
     """Full table of counts for one block length, validated on the way out."""
     if k % 2 or k < 2:
         raise ValueError(f"word length must be even >= 2, got {k}")
-    count = subset_size_count_bruteforce if bruteforce else subset_size_count
-    table = CountTable(k=k, counts={s: count(s, k) for s in range(1, k // 2 + 1)})
+    table = CountTable(k=k, counts={s: subset_size_count(s, k) for s in range(1, k // 2 + 1)})
     table.validate()
     return table

@@ -1,23 +1,18 @@
-"""The classic Knuth balancing codec.
+"""The classic Knuth balancing codec, as a view of the block kernel.
 
 Encoding inverts the first e bits of the information word, where e is the
-first balancing index, and records e in a fixed prefix of ceil(log2 k)
-bits.  Decoding inverts those bits back.  No lookup tables, any even k.
+first balancing index, and records e - 1 in a fixed prefix of ceil(log2 k)
+bits.  A codeword is the ``Scheme.KNUTH`` packet of
+:class:`~balpack.subsets.BlockCodec`, split into its prefix and its payload.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import CorruptCodewordError
-from .words import check_word, first_balancing_index, invert_prefix, is_balanced
-
-
-def ceil_log2(n: int) -> int:
-    """Smallest r with 2**r >= n, for n >= 1."""
-    if n < 1:
-        raise ValueError(f"ceil_log2 needs n >= 1, got {n}")
-    return (n - 1).bit_length()
+from .errors import CorruptCodewordError, CorruptPacketError
+from .subsets import Packet, Scheme, decode_packet, encode_packet
+from .words import check_word
 
 
 class KnuthCodeword(NamedTuple):
@@ -37,31 +32,14 @@ def ka_encode(x: str) -> KnuthCodeword:
     The prefix stores e - 1 (zero-based, most significant bit first) so
     that e = k still fits in ceil(log2 k) bits when k is a power of two.
     """
-    check_word(x)
-    k = len(x)
-    if k % 2 or k < 2:
-        raise ValueError(f"information word length must be even >= 2, got {k}")
-    e = first_balancing_index(x)
-    prefix = format(e - 1, f"0{ceil_log2(k)}b")
-    return KnuthCodeword(prefix=prefix, payload=invert_prefix(x, e))
+    bits = encode_packet(x, Scheme.KNUTH).bits
+    return KnuthCodeword(prefix=bits[:-len(x)], payload=bits[-len(x):])
 
 
 def ka_decode(cw: KnuthCodeword) -> str:
     """Recover the information word from a codeword that :func:`ka_encode` emits."""
-    check_word(cw.prefix)
-    check_word(cw.payload)
-    k = len(cw.payload)
-    if k % 2 or k < 2:
-        raise ValueError(f"payload length must be even >= 2, got {k}")
-    if not is_balanced(cw.payload):
-        raise CorruptCodewordError(f"payload {cw.payload!r} is not balanced")
-    if len(cw.prefix) != ceil_log2(k):
-        raise CorruptCodewordError(f"expected a {ceil_log2(k)}-bit prefix at k={k}, "
-                                   f"got {len(cw.prefix)} bits")
-    e = int(cw.prefix, 2) + 1
-    if e > k:
-        raise CorruptCodewordError(f"decoded inversion index {e} exceeds k={k}")
-    x = invert_prefix(cw.payload, e)
-    if first_balancing_index(x) != e:
-        raise CorruptCodewordError(f"{e} is not the first balancing index of {x!r}")
-    return x
+    packet = Packet(check_word(cw.prefix) + check_word(cw.payload))
+    try:
+        return decode_packet(packet, len(cw.payload), Scheme.KNUTH)
+    except CorruptPacketError as exc:
+        raise CorruptCodewordError(str(exc)) from exc

@@ -13,8 +13,7 @@ import math
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 from .counting import subset_size_count
-from .knuth import ceil_log2
-from .subsets import Scheme, prefix_length
+from .subsets import Scheme, ceil_log2, prefix_length
 
 
 class RedundancyRow(NamedTuple):

@@ -50,7 +50,6 @@ from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
-from .knuth import ceil_log2
 from .words import (
     check_word,
     first_balancing_index,
@@ -104,7 +103,7 @@ class Packet(_PacketFields):
 
 
 @lru_cache(maxsize=65536)
-def _members(y: str, includes_balanced: bool) -> tuple[str, ...]:
+def _members(y: str) -> tuple[str, ...]:
     k = len(y)
     unbalanced = []
     balanced = None
@@ -120,9 +119,7 @@ def _members(y: str, includes_balanced: bool) -> tuple[str, ...]:
             unbalanced.append(cand)
     assert balanced is not None, f"no balanced member under {y!r}"
     unbalanced.sort()
-    if includes_balanced:
-        unbalanced.append(balanced)
-    return tuple(unbalanced)
+    return (*unbalanced, balanced)
 
 
 def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
@@ -135,9 +132,9 @@ def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
     check_word(y)
     if len(y) % 2 or not is_balanced(y):
         raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
-    return SubsetListing(
-        y=y, members=_members(y, includes_balanced), includes_balanced=includes_balanced
-    )
+    members = _members(y)  # one cached listing serves both forms
+    return SubsetListing(y=y, members=members if includes_balanced else members[:-1],
+                         includes_balanced=includes_balanced)
 
 
 def subset_size_rds(y: str) -> int:
@@ -224,6 +221,13 @@ def check_block_length(k: int, scheme: Scheme) -> None:
     if k < 4 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
         raise ValueError(f"{scheme.name} needs k >= 4 (a zero-bit rank prefix at k={k} "
                          "would collide with the prefix-less balanced case)")
+
+
+def ceil_log2(n: int) -> int:
+    """Smallest r with 2**r >= n, for n >= 1."""
+    if n < 1:
+        raise ValueError(f"ceil_log2 needs n >= 1, got {n}")
+    return (n - 1).bit_length()
 
 
 def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:

@@ -21,7 +21,6 @@ from balpack.counting import (
     subset_size_count_cosine,
 )
 from balpack.fourb6b import encode_nibble
-from balpack.knuth import ceil_log2
 from balpack.redundancy import (
     comparison_rows,
     h0_exact,
@@ -32,6 +31,7 @@ from balpack.redundancy import (
 )
 from balpack.subsets import (
     Scheme,
+    ceil_log2,
     decode_packet,
     encode_packet,
     subset_members,

@@ -124,7 +124,3 @@ def test_cosine_overflow_raises():
     assert subset_size_count(33, 1100) > 2.0**1023
     with pytest.raises(OverflowError):
         subset_size_count_cosine(33, 1100)
-
-
-def test_count_table_bruteforce_flag():
-    assert count_table(8, bruteforce=True).counts == count_table(8).counts

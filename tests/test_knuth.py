@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from balpack.errors import CorruptCodewordError
-from balpack.knuth import KnuthCodeword, ceil_log2, ka_decode, ka_encode
+from balpack.knuth import KnuthCodeword, ka_decode, ka_encode
+from balpack.subsets import ceil_log2
 from balpack.words import is_balanced
 
 
@@ -46,6 +47,14 @@ def test_encode_rejects_odd_or_tiny():
         ka_encode("101")
     with pytest.raises(ValueError):
         ka_encode("1")
+
+
+def test_decode_rejects_malformed_fields():
+    # an odd payload, an empty prefix and a non-binary payload are caller errors
+    for cw in (KnuthCodeword("0", "101"), KnuthCodeword("", "0011"),
+               KnuthCodeword("00", "0a11")):
+        with pytest.raises(ValueError):
+            ka_decode(cw)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])

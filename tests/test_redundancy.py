@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from balpack.knuth import ceil_log2
 from balpack.redundancy import (
     _baseline_weights,
     _compressed_weights,
@@ -24,6 +23,7 @@ from balpack.redundancy import (
     h_prime,
     integer_prefix_rows,
 )
+from balpack.subsets import ceil_log2
 
 # Reference average-prefix-bits comparison, four decimals each.
 TABLE1 = {

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from balpack import subsets
 from balpack.errors import BalpackError, CorruptPacketError
-from balpack.knuth import ceil_log2
 from balpack.subsets import (
     Packet,
     Scheme,
+    ceil_log2,
     decode_packet,
     encode_packet,
     member_order,
@@ -62,6 +62,14 @@ def test_k4_proposed_listings():
 def test_subset_members_rejects_unbalanced():
     with pytest.raises(ValueError):
         subset_members("1011", includes_balanced=False)
+
+
+def test_both_listings_share_one_cached_build():
+    subsets._members.cache_clear()
+    y = "01101001"
+    subset_members(y, includes_balanced=True)
+    subset_members(y, includes_balanced=False)
+    assert subsets._members.cache_info().misses == 1
 
 
 def test_subset_size_rds_examples():
