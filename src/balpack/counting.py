@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .subsets import subset_members
 
@@ -64,30 +64,25 @@ def connection_matrix(states: int) -> list[list[int]]:
     ]
 
 
-@lru_cache(maxsize=8)
-def _binomial_row(k: int) -> tuple[int, ...]:
+def _strip_traces(widths: Iterable[int], steps: int) -> list[int]:
+    """trace(M_B ** steps) for each strip width B in ``widths``, from one binomial row."""
     row = [1]
-    for j in range(k):
-        row.append(row[-1] * (k - j) // (j + 1))
-    return tuple(row)
+    for j in range(steps):
+        row.append(row[-1] * (steps - j) // (j + 1))
+    half, walks = steps // 2, 1 << steps
+    return [(b + 1) * sum(row[half % (b + 1)::b + 1]) - walks for b in widths]
 
 
 def trace_closed_walks(states: int, steps: int) -> int:
     """Number of closed walks of length ``steps`` on the path with ``states`` vertices.
 
-    Exact for any size; odd step counts give 0 (the path graph is
-    bipartite) and zero states give 0.
+    Exact for any size, in O(steps) big-integer operations; zero states give 0.
     """
     if states < 0:
         raise ValueError(f"state count must be >= 0, got {states}")
     if steps < 0 or steps % 2:
         raise ValueError(f"step count must be even >= 0, got {steps}")
-    if states == 0:
-        return 0
-    period = states + 1
-    row = _binomial_row(steps)
-    filtered = sum(row[j] for j in range((steps // 2) % period, steps + 1, period))
-    return period * filtered - (1 << steps)
+    return _strip_traces((states,), steps)[0]
 
 
 def _check_size_args(size: int, k: int) -> None:
@@ -100,11 +95,7 @@ def _check_size_args(size: int, k: int) -> None:
 def subset_size_count(size: int, k: int) -> int:
     """Exact number of balanced length-k words with compressed-subset size ``size``."""
     _check_size_args(size, k)
-    return (
-        trace_closed_walks(size + 1, k)
-        - 2 * trace_closed_walks(size, k)
-        + trace_closed_walks(size - 1, k)
-    )
+    return count_table(k).counts[size]
 
 
 def subset_size_count_cosine(size: int, k: int) -> float:
@@ -166,6 +157,8 @@ def count_table(k: int) -> CountTable:
     """Full table of counts for one block length, validated on the way out."""
     if k % 2 or k < 2:
         raise ValueError(f"word length must be even >= 2, got {k}")
-    table = CountTable(k=k, counts={s: subset_size_count(s, k) for s in range(1, k // 2 + 1)})
+    t = _strip_traces(range(k // 2 + 2), k)
+    counts = {s: t[s + 1] - 2 * t[s] + t[s - 1] for s in range(1, k // 2 + 1)}
+    table = CountTable(k=k, counts=counts)
     table.validate()
     return table

@@ -12,7 +12,7 @@ import csv
 import math
 from typing import Callable, Iterable, NamedTuple, TextIO
 
-from .counting import subset_size_count
+from .counting import count_table
 from .subsets import Scheme, ceil_log2, prefix_length
 
 
@@ -26,44 +26,21 @@ class RedundancyRow(NamedTuple):
     h2: float
 
 
-class PrefixWeights(NamedTuple):
-    """Weighted subset-size distribution behind one average-length metric.
+def _averages(k: int, bits_for: Callable[[int], float]) -> tuple[float, float]:
+    """Compressed and baseline averages of ``bits_for(ranks)`` from one count table.
 
-    ``weights[size]`` is the number of information words carrying a prefix
-    chosen out of ``size`` ranks; ``normalizer`` is the word count the
-    average is taken over.
+    The s * N(s) unbalanced words whose compressed subset has s members
+    choose their prefix out of s ranks.  Adding the balanced word gives the
+    uncompressed subset of s + 1 members, and every one of the 2**k words
+    lands in exactly one such subset.
     """
-
-    k: int
-    weights: dict[int, int]
-    normalizer: int
-
-    def average(self, bits_for: Callable[[int], float]) -> float:
-        return sum(
-            n / self.normalizer * bits_for(size)
-            for size, n in self.weights.items()
-        )
-
-
-def _compressed_weights(k: int) -> PrefixWeights:
     _check_k(k)
-    counts = {s: subset_size_count(s, k) for s in range(1, k // 2 + 1)}
-    weights = {s: s * n for s, n in counts.items()}
+    counts = count_table(k).counts
     norm = 2**k - math.comb(k, k // 2)
-    assert sum(weights.values()) == norm
-    return PrefixWeights(k=k, weights=weights, normalizer=norm)
-
-
-def _baseline_weights(k: int) -> PrefixWeights:
-    # The uncompressed subset of size s' holds the s' - 1 unbalanced words
-    # plus the balanced one, and every one of the 2**k words lands in
-    # exactly one subset.
-    _check_k(k)
-    weights = {
-        s + 1: (s + 1) * subset_size_count(s, k) for s in range(1, k // 2 + 1)
-    }
-    assert sum(weights.values()) == 2**k
-    return PrefixWeights(k=k, weights=weights, normalizer=2**k)
+    # Each term is (s * n) / norm * bits, summed in ascending s; the digits depend on it.
+    compressed = sum(s * n / norm * bits_for(s) for s, n in counts.items())
+    baseline = sum((s + 1) * n / 2**k * bits_for(s + 1) for s, n in counts.items())
+    return compressed, baseline
 
 
 def _check_k(k: int) -> None:
@@ -87,12 +64,12 @@ def h0_approx(k: int) -> float:
 
 def h_avg(k: int) -> float:
     """Average ideal prefix bits of the compressed-subset scheme."""
-    return _compressed_weights(k).average(math.log2)
+    return _averages(k, math.log2)[0]
 
 
 def h1_avg(k: int) -> float:
     """Average ideal prefix bits of the uncompressed baseline."""
-    return _baseline_weights(k).average(math.log2)
+    return _averages(k, math.log2)[1]
 
 
 def h2_avg(k: int) -> float:
@@ -128,16 +105,17 @@ def delta_lambda(lam: int) -> int:
 
 def h_prime(k: int) -> float:
     """Compressed-scheme average when each rank prefix must itself be balanced."""
-    return _compressed_weights(k).average(lambda s: float(delta_lambda(s)))
+    return _averages(k, delta_lambda)[0]
 
 
 def h1_prime(k: int) -> float:
     """Baseline average with balanced rank prefixes."""
-    return _baseline_weights(k).average(lambda s: float(delta_lambda(s)))
+    return _averages(k, delta_lambda)[1]
 
 
 def redundancy_row(k: int) -> RedundancyRow:
-    return RedundancyRow(k=k, h0=h0_exact(k), h=h_avg(k), h1=h1_avg(k), h2=h2_avg(k))
+    h, h1 = _averages(k, math.log2)
+    return RedundancyRow(k=k, h0=h0_exact(k), h=h, h1=h1, h2=h2_avg(k))
 
 
 def comparison_rows(k_list: Iterable[int]) -> list[RedundancyRow]:
@@ -148,7 +126,7 @@ def comparison_rows(k_list: Iterable[int]) -> list[RedundancyRow]:
 def balanced_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, float, float, float, int]]:
     """Balanced-prefix averages next to the Knuth redundancy curve."""
     return [
-        (k, h_prime(k), h1_prime(k), math.log2(k), ceil_log2(k)) for k in k_list
+        (k, *_averages(k, delta_lambda), math.log2(k), ceil_log2(k)) for k in k_list
     ]
 
 
@@ -160,7 +138,7 @@ def integer_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, int, int, int]
 
 def count_rows(k_list: Iterable[int]) -> list[tuple[int, int, int]]:
     """(k, size, count) triples of the exact enumeration."""
-    return [(k, s, subset_size_count(s, k)) for k in k_list for s in range(1, k // 2 + 1)]
+    return [(k, s, n) for k in k_list for s, n in count_table(k).counts.items()]
 
 
 def emit_tables(what: str, k_list: Iterable[int], out: TextIO) -> None:

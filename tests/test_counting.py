@@ -41,6 +41,8 @@ def test_trace_examples():
     assert trace_closed_walks(3, 6) == 16
     assert trace_closed_walks(0, 8) == 0
     assert trace_closed_walks(5, 0) == 5  # identity matrix
+    # B + 1 > steps leaves only j = steps/2 in the congruence filter: O(steps) at any width
+    assert trace_closed_walks(10**9, 8) == (10**9 + 1) * 70 - 256
 
 
 def test_trace_rejects_bad_arguments():
@@ -89,6 +91,9 @@ def test_identities_hold_exactly_up_to_64():
         table = count_table(k)  # validate() checks both identities
         assert table.total() == math.comb(k, k // 2)
         assert table.weighted_total() == 2**k - math.comb(k, k // 2)
+        for s, n in table.counts.items():
+            assert n == (trace_closed_walks(s + 1, k) - 2 * trace_closed_walks(s, k)
+                         + trace_closed_walks(s - 1, k))
 
 
 def test_baseline_counts_are_shifted():

@@ -8,7 +8,7 @@ import balpack
 from balpack import invariants
 from balpack.counting import CountTable
 from balpack.knuth import KnuthCodeword
-from balpack.redundancy import PrefixWeights, RedundancyRow
+from balpack.redundancy import RedundancyRow
 from balpack.stream import StreamHeader
 from balpack.subsets import Packet, Scheme, SubsetListing, subset_members
 
@@ -41,7 +41,6 @@ RECORDS = [
                     "payload_bit_count": 32}),
     (CountTable, {"k": 4, "counts": {1: 2, 2: 4}}),
     (RedundancyRow, {"k": 4, "h0": 1.0, "h": 0.8, "h1": 1.4, "h2": 0.5}),
-    (PrefixWeights, {"k": 4, "weights": {1: 2}, "normalizer": 10}),
     (invariants.CheckResult, {"name": "x", "passed": True, "detail": ""}),
 ]
 

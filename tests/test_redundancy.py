@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from balpack import counting
+from balpack.counting import count_table
 from balpack.redundancy import (
-    _baseline_weights,
-    _compressed_weights,
     balanced_prefix_rows,
     comparison_rows,
     count_rows,
@@ -61,12 +61,13 @@ def test_table1_reproduced(k):
 @pytest.mark.parametrize("k", [4, 16, 256, 2048])
 def test_int_true_division_matches_the_fraction_oracle(k):
     """Each ratio is one correctly rounded division, the same double Fraction gives."""
-    for weights in (_compressed_weights(k), _baseline_weights(k)):
-        d = weights.normalizer
-        for n in weights.weights.values():
+    counts = count_table(k).counts
+    compressed = [(s, s * n, 2**k - math.comb(k, k // 2)) for s, n in counts.items()]
+    baseline = [(s + 1, (s + 1) * n, 2**k) for s, n in counts.items()]
+    for average, terms in ((h_avg, compressed), (h1_avg, baseline)):
+        for _, n, d in terms:
             assert n / d == float(Fraction(n, d))
-        assert weights.average(math.log2) == sum(
-            float(Fraction(n, d)) * math.log2(s) for s, n in weights.weights.items())
+        assert average(k) == sum(float(Fraction(n, d)) * math.log2(s) for s, n, d in terms)
     oracle = 0.0
     for c in range(1, k // 2 + 1):
         n, d = math.comb(k - 1 - c, k // 2 - c), 2 ** (k - 1 - c)
@@ -76,6 +77,23 @@ def test_int_true_division_matches_the_fraction_oracle(k):
         oracle += float(Fraction(n, d)) * (
             (c - 2 * spread) * low * 2.0**-low + 2 * spread * high * 2.0**-high)
     assert h2_avg(k) == oracle
+
+
+def test_rows_build_one_binomial_row_per_k(monkeypatch):
+    rows_built = []
+    strip_traces = counting._strip_traces
+
+    def counted(widths, steps):
+        rows_built.append(steps)
+        return strip_traces(widths, steps)
+
+    monkeypatch.setattr(counting, "_strip_traces", counted)
+    k_list = [4 << i for i in range(10)]  # 4, 8, ..., 2048
+    assert [row.k for row in comparison_rows(k_list)] == k_list
+    assert rows_built == k_list
+    rows_built.clear()
+    assert [row[0] for row in balanced_prefix_rows(k_list)] == k_list
+    assert rows_built == k_list
 
 
 def test_h0_approx():
@@ -174,3 +192,5 @@ def test_domain_errors():
         h_avg(2)
     with pytest.raises(ValueError):
         h0_exact(3)
+    with pytest.raises(ValueError):
+        count_rows([1])

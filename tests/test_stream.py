@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import subsets
+from balpack import invariants, subsets
 from balpack.cli import SCHEME_NAMES, main
-from balpack.counting import subset_size_count
+from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
 from balpack.stream import (
     _CHECK_SLICE,
@@ -401,6 +401,30 @@ def test_selfcheck_passes_and_caps():
         selfcheck(2)
 
 
+def test_selfcheck_reports_a_broken_count_identity(monkeypatch, capsys):
+    def one_count_off(k):
+        table = count_table(k)
+        if k == 6:  # N(3) = 6 becomes 7, and the table is validated on the way out as usual
+            table = CountTable(k, {**table.counts, 3: table.counts[3] + 1})
+            table.validate()
+        return table
+
+    monkeypatch.setattr(invariants, "count_table", one_count_off)
+    report = selfcheck(6)
+    assert not report.all_passed
+    failed = {entry.name: entry.detail for entry in report.entries if not entry.passed}
+    assert set(failed) == {
+        "k=6: count identities (sum and weighted sum)",
+        "k=6: exact counts match brute-force enumeration",
+    }
+    assert failed["k=6: count identities (sum and weighted sum)"] == "counts sum to 21, expected 20"
+
+    assert main(["selfcheck", "--k-max", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  k=6: count identities (sum and weighted sum)  [counts sum to 21, expected 20]" in lines
+    assert lines[-1].startswith("FAILED:")
+
+
 # --- CLI ---
 
 
@@ -528,6 +552,25 @@ def test_cli_import_loads_only_the_codec_path():
         env={"PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_analytics_run_without_mpmath():
+    """mpmath is only the optional cosine extra: tables and selfcheck run with it blocked."""
+    code = ("import sys; sys.modules['mpmath'] = None; from balpack.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    for argv, first, last in (
+        (["tables", "--what", "table1", "--k-list", "4,8,16"], "k,H0,H,H1,H2", "16,"),
+        (["selfcheck", "--k-max", "6"], "PASS  k=4: balanced words balance to balanced words",
+         "OK: "),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+            env={"PYTHONPATH": str(src_dir)},
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == first and lines[-1].startswith(last), result.stdout
 
 
 def test_cli_import_builds_no_walk_table():
