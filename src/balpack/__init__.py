@@ -29,7 +29,7 @@ _HOMES = {
         "RedundancyRow", "comparison_rows", "delta_lambda", "emit_tables", "h0_approx",
         "h0_exact", "h1_avg", "h1_prime", "h2_avg", "h_avg", "h_prime",
     ),
-    "stream": ("StreamHeader", "deframe_stream", "frame_stream"),
+    "stream": ("StreamHeader", "deframe_bytes", "deframe_stream", "frame_bytes", "frame_stream"),
     "subsets": (
         "Packet", "Scheme", "SubsetListing", "decode_packet", "encode_packet",
         "prefix_length", "subset_members", "subset_size_rds",

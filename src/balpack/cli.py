@@ -11,7 +11,7 @@ import os
 import sys
 
 from .errors import BalpackError
-from .stream import bits_to_bytes, bytes_to_bits, deframe_stream, frame_stream
+from .stream import deframe_bytes, frame_bytes
 from .subsets import Scheme
 
 SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
@@ -28,18 +28,16 @@ def _write(path: os.PathLike[str], data: bytes) -> None:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    data = args.infile.read_bytes()
-    bits = bytes_to_bits(data, 8 * len(data))
-    stream = frame_stream(bits, args.k, SCHEME_NAMES[args.scheme], args.pad)
+    stream = frame_bytes(args.infile.read_bytes(), args.k, SCHEME_NAMES[args.scheme], args.pad)
     _write(args.outfile, stream)
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    bits = deframe_stream(args.infile.read_bytes())
-    if len(bits) % 8:
-        raise ValueError(f"decoded payload of {len(bits)} bits is not byte aligned")
-    _write(args.outfile, bits_to_bytes(bits))
+    data, bit_count = deframe_bytes(args.infile.read_bytes())
+    if bit_count % 8:
+        raise ValueError(f"decoded payload of {bit_count} bits is not byte aligned")
+    _write(args.outfile, data)
     return 0
 
 

@@ -6,12 +6,16 @@ first, final byte zero-padded.  The explicit bit count plays the role of
 the end-of-packet marker: packets are self-delimiting without reserving
 any bit pattern, which is what lets balanced words travel prefix-less.
 
-Input is checked once per stream; blocks pass through
-:class:`balpack.subsets.BlockCodec` as integers, one ``to_bytes`` per frame.
+Input is checked once per stream.  The core, :func:`frame_bytes` /
+:func:`deframe_bytes`, works over bytes plus a payload bit count: every block
+travels as an integer from input bytes to output bytes, through the int
+kernel :class:`balpack.subsets.BlockCodec`, and no bit string is built.
+:func:`frame_stream` / :func:`deframe_stream` are its checking string adapters.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import NamedTuple
 
@@ -92,20 +96,30 @@ def bytes_to_bits(data: bytes, bit_count: int) -> str:
     return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")[:bit_count] if data else ""
 
 
-def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytes:
-    """Encode a bit string block by block into a framed byte stream."""
-    for i in range(0, len(bits), _CHECK_SLICE):  # non-ASCII becomes "?", which stays
-        if bits[i : i + _CHECK_SLICE].encode("ascii", "replace").translate(None, b"01"):
-            raise ValueError("input must be a string over 0/1")
+def _chunk(k: int) -> tuple[int, int]:
+    """Bytes and blocks per int conversion: whole blocks in whole bytes, 512 bits or more."""
+    bits = -(-512 // math.lcm(k, 8)) * math.lcm(k, 8)
+    return bits // 8, bits // k
+
+
+def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
+                bit_count: int | None = None) -> bytes:
+    """Encode the first ``bit_count`` bits of ``data`` (all of them by default) into a stream.
+
+    Bits are read most significant first; the fill after ``bit_count`` must be zero.
+    """
+    if bit_count is None:
+        bit_count = 8 * len(data)
+    elif not 0 <= bit_count <= 8 * len(data) < bit_count + 8 or (
+            bit_count % 8 and data[-1] & 0xFF >> bit_count % 8):
+        raise ValueError(f"{len(data)} bytes are not {bit_count} bits and a zero fill")
     if k > MAX_K:
         raise ValueError(f"block length {k} exceeds {MAX_K}, the most the stream header holds")
     codec = BlockCodec(k, scheme)
-    original = len(bits)
-    if original % k and not pad_mode:
-        raise InputLengthError(f"{original} input bits is not a multiple of k={k} "
+    if bit_count % k and not pad_mode:
+        raise InputLengthError(f"{bit_count} input bits is not a multiple of k={k} "
                                "and padding is off")
-    bits += "0" * (-original % k)
-    header = StreamHeader(k=k, scheme=scheme, pad_mode=pad_mode, payload_bit_count=original)
+    header = StreamHeader(k=k, scheme=scheme, pad_mode=pad_mode, payload_bit_count=bit_count)
     out = bytearray(header.pack())
     # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
     shapes = []
@@ -113,56 +127,78 @@ def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> b
         varint, body = encode_varint(n), (n + 7) // 8
         head = int.from_bytes(varint, "big") << 8 * body
         shapes.append((head, len(varint) + body, 8 * body - n))
-    for start in range(0, len(bits), k):
-        x = bits[start : start + k]
-        packet, p = codec.encode(x, int(x, 2))
-        head, nbytes, slack = shapes[p]
-        out += (head | packet << slack).to_bytes(nbytes, "big")
+    encode, mask = codec.encode, (1 << k) - 1
+    size, per_chunk = _chunk(k)
+    shifts, blocks = range(8 * size - k, -1, -k), -(-bit_count // k)
+    for first in range(0, blocks, per_chunk):
+        chunk = data[first * k // 8 : first * k // 8 + size]
+        group = int.from_bytes(chunk, "big") << 8 * (size - len(chunk))
+        for shift in shifts[: blocks - first]:
+            packet, p = encode(group >> shift & mask)
+            head, nbytes, slack = shapes[p]
+            out += (head | packet << slack).to_bytes(nbytes, "big")
     return bytes(out)
 
 
-def deframe_stream(data: bytes) -> str:
-    """Decode a framed byte stream back to the original bit string.
+def deframe_bytes(data: bytes) -> tuple[bytes, int]:
+    """Decode a framed byte stream to its payload, zero-filled to whole bytes, and bit count.
 
-    Only the exact output of :func:`frame_stream` is accepted: one frame per
-    block, minimal varints, zero slack bits and zero pad fill.
+    Only the exact output of :func:`frame_bytes` is accepted: one frame per
+    block, minimal varints, zero slack bits and zero pad fill.  The output
+    grows frame by frame, never sized from the header's claim.
     """
     header = StreamHeader.unpack(data)
     k, payload = header.k, header.payload_bit_count
     codec = BlockCodec(k, header.scheme)
     decode, max_bits = codec.decode, k + codec.max_prefix  # the longest packet
     max_varint = len(encode_varint(max_bits))
+    size, per_chunk = _chunk(k)
     frames, end, offset = -(-payload // k), len(data), _HEADER.size
-    decoded: list[str] = []
-    for index in range(frames):
-        try:
-            if offset >= end:
-                raise StreamCorruptError(f"stream ends after {index} of {frames} frames")
-            bit_length = data[offset]  # one-byte varints skip the call
-            if bit_length < 0x80:
-                offset += 1
-            else:
-                bit_length, offset = decode_varint(data, offset, max_varint)
-            if not k <= bit_length <= max_bits:
-                raise StreamCorruptError(f"frame of {bit_length} bits outside {k}..{max_bits}")
-            nbytes = (bit_length + 7) // 8
-            if offset + nbytes > end:
-                raise StreamCorruptError(f"packet body truncated ({nbytes} bytes needed)")
-            value = int.from_bytes(data[offset : offset + nbytes], "big")
-            offset += nbytes
-            slack = 8 * nbytes - bit_length
-            if value & ((1 << slack) - 1):
-                raise StreamCorruptError("slack bits after the packet are not zero")
-            decoded.append(decode(value >> slack, bit_length - k))
-        except (BalpackError, ValueError) as exc:
-            raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
+    out = bytearray()
+    for first in range(0, frames, per_chunk):
+        group = 0
+        for index in range(first, min(first + per_chunk, frames)):
+            try:
+                if offset >= end:
+                    raise StreamCorruptError(f"stream ends after {index} of {frames} frames")
+                bit_length = data[offset]  # one-byte varints skip the call
+                if bit_length < 0x80:
+                    offset += 1
+                else:
+                    bit_length, offset = decode_varint(data, offset, max_varint)
+                if not k <= bit_length <= max_bits:
+                    raise StreamCorruptError(f"frame of {bit_length} bits outside {k}..{max_bits}")
+                nbytes = (bit_length + 7) // 8
+                if offset + nbytes > end:
+                    raise StreamCorruptError(f"packet body truncated ({nbytes} bytes needed)")
+                value = int.from_bytes(data[offset : offset + nbytes], "big")
+                offset += nbytes
+                slack = 8 * nbytes - bit_length
+                if value & ((1 << slack) - 1):
+                    raise StreamCorruptError("slack bits after the packet are not zero")
+                x = decode(value >> slack, bit_length - k)
+            except (BalpackError, ValueError) as exc:
+                raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
+            group = group << k | x
+        out += (group << k * (first + per_chunk - 1 - index)).to_bytes(size, "big")
     if offset < end:
         raise StreamCorruptError(
             f"packet {frames}: data after the last of {frames} frames", packet_index=frames
         )
-    if payload % k:  # index is the last packet's
-        last, kept = decoded[-1], payload % k
-        if "1" in last[kept:]:
-            raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
-        decoded[-1] = last[:kept]
-    return "".join(decoded)
+    if payload % k and x & ((1 << k - payload % k) - 1):  # index is the last packet's
+        raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
+    del out[-(-payload // 8):]  # the zero fill of a short last chunk
+    return bytes(out), payload
+
+
+def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytes:
+    """Encode a bit string into a framed byte stream; checks it, then :func:`frame_bytes`."""
+    for i in range(0, len(bits), _CHECK_SLICE):  # non-ASCII becomes "?", which stays
+        if bits[i : i + _CHECK_SLICE].encode("ascii", "replace").translate(None, b"01"):
+            raise ValueError("input must be a string over 0/1")
+    return frame_bytes(bits_to_bytes(bits), k, scheme, pad_mode, len(bits))
+
+
+def deframe_stream(data: bytes) -> str:
+    """Decode a framed byte stream back to the original bit string, via :func:`deframe_bytes`."""
+    return bytes_to_bits(*deframe_bytes(data))

@@ -37,9 +37,11 @@ PROPOSED_FULL PROPOSED_FL with the prefix re-encoded into balanced sextets
 
 One kernel, :class:`BlockCodec`, serves all five; full balancing is its
 single extra step, :func:`balpack.fourb6b.balance_rank` on the rank.
-It resolves the scheme once and checks nothing: streams are checked once per
-stream, and :func:`encode_packet` / :func:`decode_packet` are its checking
-string adapters.
+It takes and returns blocks as integers, first bit most significant; only
+the ranked passes format a block, once.  It resolves the scheme once and
+checks nothing: streams are checked once per stream, and
+:func:`encode_packet` / :func:`decode_packet` are its checking string
+adapters.
 """
 
 from __future__ import annotations
@@ -50,14 +52,7 @@ from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
-from .words import (
-    check_word,
-    first_balancing_index,
-    invert_prefix,
-    is_balanced,
-    level_index,
-    rds_extrema,
-)
+from .words import check_word, is_balanced, level_index, rds_extrema
 
 
 class Scheme(enum.Enum):
@@ -104,22 +99,22 @@ class Packet(_PacketFields):
 
 @lru_cache(maxsize=65536)
 def _members(y: str) -> tuple[str, ...]:
-    k = len(y)
-    unbalanced = []
-    balanced = None
+    k, v = len(y), int(y, 2)
+    unbalanced, balanced = [], None
     for j in range(1, k + 1):
-        cand = invert_prefix(y, j)
-        if first_balancing_index(cand) != j:
+        cand = v ^ (((1 << j) - 1) << (k - j))  # invert_prefix(y, j)
+        t = cand.bit_count() - k // 2
+        if level_index(cand, k, t) != j:  # j is not the first balancing index
             continue
-        if is_balanced(cand):
+        if not t:
             # invariant: each subset holds exactly one balanced word
             assert balanced is None, f"two balanced members under {y!r}"
             balanced = cand
         else:
             unbalanced.append(cand)
     assert balanced is not None, f"no balanced member under {y!r}"
-    unbalanced.sort()
-    return (*unbalanced, balanced)
+    unbalanced.sort()  # equal-length words sort as their values
+    return tuple(format(m, f"0{k}b") for m in (*unbalanced, balanced))
 
 
 def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
@@ -263,7 +258,9 @@ class BlockCodec:
 
     def __init__(self, k: int, scheme: Scheme) -> None:
         check_block_length(k, scheme)
-        self.k, self.half, self.mask, self.fmt = k, k // 2, (1 << k) - 1, f"0{k}b"
+        self.k, self.half, self.fmt = k, k // 2, f"0{k}b"
+        self.lead = 1 << k  # bin(v | lead)[3:] is v's k bits, in half the time of format
+        self.mask = self.lead - 1
         self.knuth = scheme is Scheme.KNUTH
         self.vl = scheme is Scheme.PROPOSED_VL
         self.full = scheme is Scheme.PROPOSED_FULL
@@ -272,8 +269,8 @@ class BlockCodec:
         self.rank_bits = prefix_length(k, Scheme.PROPOSED_FL if self.full else scheme, lam)
         self.max_prefix = prefix_length(k, scheme, lam)
 
-    def encode(self, x: str, xi: int) -> tuple[int, int]:
-        """Packet value and prefix bit count of the block ``x``, whose value is ``xi``."""
+    def encode(self, xi: int) -> tuple[int, int]:
+        """Packet value and prefix bit count of the block of value ``xi``."""
         k = self.k
         t = xi.bit_count() - self.half
         if not t and self.prefix_less:
@@ -284,9 +281,9 @@ class BlockCodec:
             if self.knuth:  # the rank is e - 1
                 return (e - 1) << k | y, self.max_prefix
             # BASELINE_FL lists a balanced x last, after the compressed subset
-            zeros, ones = _first_visits(format(y, self.fmt))
+            zeros, ones = _first_visits(bin(y | self.lead)[3:])
             return (len(zeros) + len(ones)) << k | y, self.max_prefix
-        e, rank, lam = _rank(x, t)
+        e, rank, lam = _rank(bin(xi | self.lead)[3:], t)
         y = xi ^ (((1 << e) - 1) << (k - e))
         if self.vl:
             return rank << k | y, _vl_prefix(lam)
@@ -294,8 +291,8 @@ class BlockCodec:
             rank = balance_rank(rank, self.rank_bits)
         return rank << k | y, self.max_prefix
 
-    def decode(self, v: int, p: int) -> str:
-        """Word of packet ``v`` (``p`` prefix bits); BalpackError if no word encodes to it."""
+    def decode(self, v: int, p: int) -> int:
+        """Block of packet ``v`` (``p`` prefix bits); BalpackError if no block encodes to it."""
         k, half, y = self.k, self.half, v & self.mask
         nbits = max(1, p) if self.vl else self.max_prefix
         if p != nbits and not (p == 0 and self.prefix_less):
@@ -307,12 +304,11 @@ class BlockCodec:
         if y.bit_count() != half:
             raise CorruptPacketError(f"payload {format(y, self.fmt)!r} is not balanced")
         if not p:
-            return format(y, self.fmt)
+            return y
         if self.knuth:  # the inversion index e = rank + 1 is any of 1..k
             size = k
         else:
-            ys = format(y, self.fmt)
-            zeros, ones = _first_visits(ys)
+            zeros, ones = _first_visits(bin(y | self.lead)[3:])
             lam = len(zeros) + len(ones)
             if self.vl and p != _vl_prefix(lam):
                 raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
@@ -333,13 +329,13 @@ class BlockCodec:
         if self.knuth and level_index(x, k, x.bit_count() - half) != e:
             raise CorruptPacketError(f"{e} is not the first balancing index of "
                                      f"{format(x, self.fmt)!r}")
-        return format(x, self.fmt)
+        return x
 
 
 def encode_packet(x: str, scheme: Scheme) -> Packet:
     """Encode one information word into a self-contained packet."""
     check_word(x)
-    value, p = BlockCodec(len(x), scheme).encode(x, int(x, 2))
+    value, p = BlockCodec(len(x), scheme).encode(int(x, 2))
     return Packet(format(value, f"0{len(x) + p}b"))
 
 
@@ -349,4 +345,4 @@ def decode_packet(p: Packet, k: int, scheme: Scheme) -> str:
     The packet's bit length stands in for the end-of-packet marker, so the
     variable-length prefix is ``bit_length - k`` bits, and at least one.
     """
-    return BlockCodec(k, scheme).decode(int(p.bits, 2), p.bit_length - k)
+    return format(BlockCodec(k, scheme).decode(int(p.bits, 2), p.bit_length - k), f"0{k}b")

@@ -26,8 +26,10 @@ from balpack.stream import (
     bits_to_bytes,
     bytes_to_bits,
     decode_varint,
+    deframe_bytes,
     deframe_stream,
     encode_varint,
+    frame_bytes,
     frame_stream,
 )
 from balpack.invariants import selfcheck
@@ -274,8 +276,8 @@ def test_mutated_streams_are_rejected_or_canonical(scheme, k, pad_mode, rng):
     # bit flips, byte insertions and deletions, truncation after the header
     n = rng.randrange(5 * k)
     n -= 0 if pad_mode else n % k
-    bits = format(rng.getrandbits(n), f"0{n}b") if n else ""
-    stream = bytearray(frame_stream(bits, k, scheme, pad_mode))
+    data = (rng.getrandbits(n) << -n % 8).to_bytes((n + 7) // 8, "big")
+    stream = bytearray(frame_bytes(data, k, scheme, pad_mode, n))
     for _ in range(rng.randint(1, 3)):
         i, op = rng.randrange(16, len(stream) + 1), rng.randrange(4)
         if op == 0 and i < len(stream):
@@ -287,11 +289,11 @@ def test_mutated_streams_are_rejected_or_canonical(scheme, k, pad_mode, rng):
         else:
             del stream[i:]
     try:
-        bits = deframe_stream(bytes(stream))
+        data, n = deframe_bytes(bytes(stream))
     except StreamCorruptError as err:
         assert err.packet_index is not None
         return
-    assert frame_stream(bits, k, scheme, pad_mode) == stream
+    assert frame_bytes(data, k, scheme, pad_mode, n) == stream
 
 
 def reference_frame_stream(bits, k, scheme, pad_mode):
@@ -320,19 +322,68 @@ def reference_deframe_stream(data):
 
 @pytest.mark.parametrize("pad_mode", [False, True])
 @pytest.mark.parametrize("scheme,k", [
-    (scheme, k) for scheme in ALL_SCHEMES for k in (2, 4, 6, 10, 16, 18, 64, 1024)
+    (scheme, k) for scheme in ALL_SCHEMES for k in (2, 4, 6, 10, 16, 18, 64, 1000, 1002, 1024)
     if k > 2 or scheme not in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL)  # need k >= 4
 ])
 def test_block_kernel_matches_per_packet_path(scheme, k, pad_mode):
     rng = random.Random(k * 10 + scheme.value)
     blocks = ["01" * (k // 2), "1" * k, "0" * k, "1" * (k // 2) + "0" * (k // 2)]
-    blocks += [format(rng.getrandbits(k), f"0{k}b") for _ in range(8 if k > 64 else 40)]
+    # an odd block count, so that the payload is not whole bytes unless 8 divides
+    # k; the ragged payloads of pad mode never are
+    blocks += [format(rng.getrandbits(k), f"0{k}b") for _ in range(9 if k > 64 else 41)]
     bits = "".join(blocks)
     if pad_mode:
         bits = bits[: len(bits) - k // 2 + 1]  # the last block is ragged
     stream = frame_stream(bits, k, scheme, pad_mode)
     assert stream == reference_frame_stream(bits, k, scheme, pad_mode)
     assert deframe_stream(stream) == reference_deframe_stream(stream) == bits
+    data = bits_to_bytes(bits)
+    if len(bits) % 8 == 0:
+        assert frame_bytes(data, k, scheme, pad_mode) == stream
+    assert frame_bytes(data, k, scheme, pad_mode, len(bits)) == stream
+    assert deframe_bytes(stream) == (data, len(bits))
+
+
+def test_frame_bytes_rejects_a_bit_count_its_bytes_do_not_hold():
+    assert frame_bytes(b"\x5c", 4, Scheme.PROPOSED_FL, True, 6) == frame_stream(
+        "010111", 4, Scheme.PROPOSED_FL, True)
+    for data, bit_count in ((b"\x5f", 6), (b"\x5c\x00", 6), (b"\x5c", 9), (b"", -1)):
+        with pytest.raises(ValueError, match="zero fill"):
+            frame_bytes(data, 4, Scheme.PROPOSED_FL, True, bit_count)
+
+
+@pytest.mark.parametrize("k", [16, 1024])
+def test_cli_codec_memory_is_proportional_to_the_file(tmp_path, k):
+    """Encode and decode of a 64 KiB file hold no bit string: each peaks below 512 KiB.
+
+    Each command runs once untraced first, so one-time set-up (argparse's
+    patterns, the byte-walk table) is not counted against the file.
+    """
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    payload = random.Random(k).randbytes(64 << 10)
+    src.write_bytes(payload)
+    peaks = []
+    for argv in (["encode", "--scheme", "knuth", "--k", str(k), str(src), str(enc)],
+                 ["decode", str(enc), str(out)]):
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert out.read_bytes() == payload
+    assert max(peaks) < 512 << 10, [peak >> 10 for peak in peaks]
+
+
+def test_header_claiming_2_63_bits_is_not_believed():
+    one_frame = frame_stream("0110" * 4, 16, Scheme.KNUTH)
+    claim = StreamHeader(k=16, scheme=Scheme.KNUTH, pad_mode=True, payload_bit_count=2**63 - 1)
+    start = time.perf_counter()
+    with pytest.raises(StreamCorruptError) as err:
+        deframe_bytes(claim.pack() + one_frame[16:])
+    assert time.perf_counter() - start < 0.05
+    assert err.value.packet_index == 1
 
 
 def test_bit_flip_detected_with_packet_index():
@@ -491,6 +542,15 @@ def test_cli_encode_pad_flag(tmp_path):
                  str(src), str(enc)]) == 0
     assert main(["decode", str(enc), str(out)]) == 0
     assert out.read_bytes() == b"xyz"
+
+
+def test_cli_decode_refuses_a_payload_that_is_not_whole_bytes(tmp_path, capsys):
+    enc, out = tmp_path / "stream.bpk", tmp_path / "output.bin"
+    enc.write_bytes(frame_stream("011010011001", 4, Scheme.PROPOSED_FL))
+    assert main(["decode", str(enc), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith("not byte aligned")
+    assert not out.exists()
 
 
 def test_cli_decode_corrupt_stream(tmp_path):
