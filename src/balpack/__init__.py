@@ -19,12 +19,11 @@ _HOMES = {
         "subset_size_count_bruteforce", "subset_size_count_cosine", "trace_closed_walks",
     ),
     "errors": (
-        "BalpackError", "CorruptCodewordError", "CorruptPacketError", "InputLengthError",
-        "InvalidSextetError", "StreamCorruptError",
+        "BalpackError", "CorruptPacketError", "InputLengthError", "InvalidSextetError",
+        "StreamCorruptError",
     ),
-    "fourb6b": ("balance_prefix", "decode_sextet", "encode_nibble", "unbalance_prefix"),
+    "fourb6b": ("encode_nibble",),
     "invariants": ("SelfCheckReport", "selfcheck"),
-    "knuth": ("KnuthCodeword", "ka_decode", "ka_encode"),
     "redundancy": (
         "RedundancyRow", "comparison_rows", "delta_lambda", "emit_tables", "h0_approx",
         "h0_exact", "h1_avg", "h1_prime", "h2_avg", "h_avg", "h_prime",

@@ -45,7 +45,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_tables(args: argparse.Namespace) -> int:
     from .redundancy import emit_tables
 
-    emit_tables(args.what, args.k_list or DEFAULT_K_LIST, sys.stdout)
+    emit_tables(args.what, args.k_list, sys.stdout)
     return 0
 
 
@@ -68,9 +68,12 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 def _parse_k_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        k_list = [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad k list {text!r}") from None
+        k_list = []
+    if not k_list:
+        raise argparse.ArgumentTypeError(f"bad k list {text!r}")
+    return k_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     tab = sub.add_parser("tables", help="print analytics tables as CSV")
     tab.add_argument("--what", choices=["table1", "nlambda", "fig2", "fig3"],
                      required=True)
-    tab.add_argument("--k-list", type=_parse_k_list, default=None,
+    tab.add_argument("--k-list", type=_parse_k_list, default=DEFAULT_K_LIST,
                      help="comma or space separated block lengths "
                           "(default: 4,8,...,1024)")
     tab.set_defaults(func=_cmd_tables)

@@ -11,10 +11,6 @@ class BalpackError(Exception):
     """Base class for decode/framing failures."""
 
 
-class CorruptCodewordError(BalpackError):
-    """A Knuth codeword failed validation (unbalanced payload or bad index)."""
-
-
 class CorruptPacketError(BalpackError):
     """A packet failed validation (unbalanced payload, bad rank or length)."""
 

@@ -8,7 +8,7 @@ side stores the table.  Full balancing (``Scheme.PROPOSED_FULL`` in
 through :func:`balance_rank`, which makes the whole packet (prefix plus
 payload) balanced at six output bits per four prefix bits;
 :func:`unbalance_rank` is the decoder's inverse step.  The rule works on
-integers; the string functions are its checking adapters.
+integers; :func:`encode_nibble` is its one string form, for the self-check.
 """
 
 from __future__ import annotations
@@ -71,31 +71,3 @@ def encode_nibble(nibble: str) -> str:
     if len(nibble) != 4:
         raise ValueError(f"nibble must be 4 bits, got {len(nibble)}")
     return format(_sextet(int(nibble, 2)), "06b")
-
-
-def decode_sextet(sextet: str) -> str:
-    """Invert :func:`encode_nibble`; rejects the 48 non-codeword sextets."""
-    check_word(sextet)
-    if len(sextet) != 6:
-        raise ValueError(f"sextet must be 6 bits, got {len(sextet)}")
-    return format(_nibble(int(sextet, 2)), "04b")
-
-
-def balance_prefix(prefix: str) -> str:
-    """Re-encode a rank prefix into balanced sextets.
-
-    The prefix is zero-filled on the right up to a nibble boundary, then
-    each nibble becomes one sextet; the result has weight exactly half its
-    length.
-    """
-    check_word(prefix)
-    r = len(prefix)
-    return format(balance_rank(int(prefix, 2), r), f"0{6 * ((r + 3) // 4)}b")
-
-
-def unbalance_prefix(encoded: str, r: int) -> str:
-    """Invert :func:`balance_prefix` for an ``r``-bit prefix; the pad must be zero."""
-    if r < 1 or len(encoded) != 6 * ((r + 3) // 4):
-        raise ValueError(f"{len(encoded)} bits cannot hold a balanced {r}-bit prefix")
-    check_word(encoded)
-    return format(unbalance_rank(int(encoded, 2), r), f"0{r}b")

@@ -103,10 +103,11 @@ def _chunk(k: int) -> tuple[int, int]:
 
 
 def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
-                bit_count: int | None = None) -> bytes:
+                bit_count: int | None = None) -> bytearray:
     """Encode the first ``bit_count`` bits of ``data`` (all of them by default) into a stream.
 
     Bits are read most significant first; the fill after ``bit_count`` must be zero.
+    The stream is returned as the ``bytearray`` it was built in, not copied.
     """
     if bit_count is None:
         bit_count = 8 * len(data)
@@ -137,15 +138,16 @@ def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
             packet, p = encode(group >> shift & mask)
             head, nbytes, slack = shapes[p]
             out += (head | packet << slack).to_bytes(nbytes, "big")
-    return bytes(out)
+    return out
 
 
-def deframe_bytes(data: bytes) -> tuple[bytes, int]:
+def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
     """Decode a framed byte stream to its payload, zero-filled to whole bytes, and bit count.
 
     Only the exact output of :func:`frame_bytes` is accepted: one frame per
     block, minimal varints, zero slack bits and zero pad fill.  The output
-    grows frame by frame, never sized from the header's claim.
+    grows frame by frame, never sized from the header's claim, and is
+    returned as the ``bytearray`` it was built in, not copied.
     """
     header = StreamHeader.unpack(data)
     k, payload = header.k, header.payload_bit_count
@@ -188,14 +190,15 @@ def deframe_bytes(data: bytes) -> tuple[bytes, int]:
     if payload % k and x & ((1 << k - payload % k) - 1):  # index is the last packet's
         raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
     del out[-(-payload // 8):]  # the zero fill of a short last chunk
-    return bytes(out), payload
+    return out, payload
 
 
-def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytes:
+def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytearray:
     """Encode a bit string into a framed byte stream; checks it, then :func:`frame_bytes`."""
-    for i in range(0, len(bits), _CHECK_SLICE):  # non-ASCII becomes "?", which stays
-        if bits[i : i + _CHECK_SLICE].encode("ascii", "replace").translate(None, b"01"):
-            raise ValueError("input must be a string over 0/1")
+    if not isinstance(bits, str) or any(  # non-ASCII becomes "?", which stays
+            bits[i : i + _CHECK_SLICE].encode("ascii", "replace").translate(None, b"01")
+            for i in range(0, len(bits), _CHECK_SLICE)):
+        raise ValueError("input must be a string over 0/1")
     return frame_bytes(bits_to_bytes(bits), k, scheme, pad_mode, len(bits))
 
 

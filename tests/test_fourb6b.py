@@ -5,14 +5,7 @@ import itertools
 import pytest
 
 from balpack.errors import BalpackError, CorruptPacketError, InvalidSextetError
-from balpack.fourb6b import (
-    balance_prefix,
-    balance_rank,
-    decode_sextet,
-    encode_nibble,
-    unbalance_prefix,
-    unbalance_rank,
-)
+from balpack.fourb6b import balance_rank, encode_nibble, unbalance_rank
 from balpack.subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
 from balpack.words import is_balanced
 
@@ -37,65 +30,69 @@ def test_sextets_distinct_weight3():
     assert all(s.count("1") == 3 for s in sextets)
 
 
+# A sextet decodes through the rank step of one nibble, unbalance_rank(v, 4).
 def test_decode_sextet_roundtrip_all_16():
     for nibble, sextet in SEXTET_TABLE.items():
-        assert decode_sextet(sextet) == nibble
+        assert unbalance_rank(int(sextet, 2), 4) == int(nibble, 2)
 
 
 def test_decode_sextet_examples():
-    assert decode_sextet("110010") == "0000"
-    assert decode_sextet("001101") == "1011"
+    assert unbalance_rank(0b110010, 4) == 0b0000
+    assert unbalance_rank(0b001101, 4) == 0b1011
 
 
 def test_decode_sextet_rejects_wrong_weight():
     with pytest.raises(InvalidSextetError):
-        decode_sextet("111100")
+        unbalance_rank(0b111100, 4)
     with pytest.raises(InvalidSextetError):
-        decode_sextet("000000")
+        unbalance_rank(0b000000, 4)
 
 
 def test_decode_sextet_rejects_non_codeword():
     # weight 3 but not in the table: rule-decode then re-encode mismatches
     with pytest.raises(InvalidSextetError):
-        decode_sextet("111000")
+        unbalance_rank(0b111000, 4)
 
 
 def test_decode_sextet_rejects_every_non_codeword():
-    codewords = set(SEXTET_TABLE.values())
-    for bits in itertools.product("01", repeat=6):
-        s = "".join(bits)
-        if s in codewords:
-            assert encode_nibble(decode_sextet(s)) == s
+    codewords = {int(s, 2) for s in SEXTET_TABLE.values()}
+    for v in range(64):
+        if v in codewords:
+            assert balance_rank(unbalance_rank(v, 4), 4) == v
         else:
             with pytest.raises(InvalidSextetError):
-                decode_sextet(s)
+                unbalance_rank(v, 4)
 
 
 def test_nibble_length_validation():
-    with pytest.raises(ValueError):
-        encode_nibble("010")
-    with pytest.raises(ValueError):
-        decode_sextet("01010")
+    for nibble in ("010", "01010"):
+        with pytest.raises(ValueError):
+            encode_nibble(nibble)
 
 
 def test_balance_prefix_examples():
-    assert balance_prefix("1") == "011100"
-    assert balance_prefix("0") == "110010"
-    assert balance_prefix("10") == "011100"
-    assert balance_prefix("10111011") == encode_nibble("1011") * 2
+    # the rank is zero-filled on the right to whole nibbles
+    assert balance_rank(0b1, 1) == 0b011100
+    assert balance_rank(0b0, 1) == 0b110010
+    assert balance_rank(0b10, 2) == 0b011100
+    assert format(balance_rank(0b10111011, 8), "012b") == encode_nibble("1011") * 2
 
 
 def test_balance_prefix_rejects_empty():
+    # at k = 2 the rank would have zero bits, so there is no prefix to balance
     with pytest.raises(ValueError):
-        balance_prefix("")
+        encode_packet("10", FULL)
+    with pytest.raises(ValueError):
+        decode_packet(Packet("10"), 2, FULL)
 
 
 def test_balance_prefix_output_balanced():
     for r in range(1, 9):
-        for bits in itertools.product("01", repeat=r):
-            out = balance_prefix("".join(bits))
-            assert len(out) == 6 * ((r + 3) // 4)
-            assert is_balanced(out)
+        width = 6 * ((r + 3) // 4)
+        for rank in range(2**r):
+            out = balance_rank(rank, r)
+            assert out < 1 << width
+            assert is_balanced(format(out, f"0{width}b"))
 
 
 def test_full_encode_examples():
@@ -110,7 +107,9 @@ def test_full_packet_is_fl_packet_with_balanced_prefix():
         for bits in itertools.product("01", repeat=k):
             x = "".join(bits)
             fl = encode_packet(x, Scheme.PROPOSED_FL).bits
-            expect = x if is_balanced(x) else balance_prefix(fl[:r]) + fl[r:]
+            width = 6 * ((r + 3) // 4)
+            prefix = format(balance_rank(int(fl[:r], 2), r), f"0{width}b")
+            expect = x if is_balanced(x) else prefix + fl[r:]
             assert encode_packet(x, FULL).bits == expect
 
 
@@ -174,11 +173,9 @@ def test_int_rank_steps_match_table_and_string_path(r):
     n, width = (r + 3) // 4, 6 * ((r + 3) // 4)
     for rank in range(2**r):
         padded = format(rank << (4 * n - r), f"0{4 * n}b")
-        expect = "".join(SEXTET_TABLE[padded[i : i + 4]] for i in range(0, 4 * n, 4))
-        encoded = balance_rank(rank, r)
-        assert format(encoded, f"0{width}b") == balance_prefix(format(rank, f"0{r}b")) == expect
+        nibbles = [padded[i : i + 4] for i in range(0, 4 * n, 4)]
+        expect = "".join(SEXTET_TABLE[nibble] for nibble in nibbles)
+        assert format(balance_rank(rank, r), f"0{width}b") == expect
+        assert "".join(map(encode_nibble, nibbles)) == expect
     for value in range(2**width):
-        expect = table_unbalance(value, r)
-        assert outcome(unbalance_rank, value, r) == expect
-        got = outcome(unbalance_prefix, format(value, f"0{width}b"), r)
-        assert got == (expect if isinstance(expect, type) else format(expect, f"0{r}b"))
+        assert outcome(unbalance_rank, value, r) == table_unbalance(value, r)

@@ -1,13 +1,14 @@
 """The package namespace and the record types it exports."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import balpack
 from balpack import invariants
 from balpack.counting import CountTable
-from balpack.knuth import KnuthCodeword
 from balpack.redundancy import RedundancyRow
 from balpack.stream import StreamHeader
 from balpack.subsets import Packet, Scheme, SubsetListing, subset_members
@@ -33,10 +34,20 @@ def test_star_import_and_unknown_names():
         exec("from balpack import no_such_name", {})
 
 
+def test_every_module_the_benchmark_tracer_hooks_imports():
+    """A traced benchmark run imports each module its spans name and dies if one is gone."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {module for sites in tracer.SPANS.values() for module, _ in sites}
+    for module in sorted(modules):
+        importlib.import_module(module)
+
+
 RECORDS = [
     (Packet, {"bits": "10011"}),
     (SubsetListing, {"y": "0011", "members": ("1011", "1111"), "includes_balanced": False}),
-    (KnuthCodeword, {"prefix": "00", "payload": "0011"}),
     (StreamHeader, {"k": 16, "scheme": Scheme.KNUTH, "pad_mode": False,
                     "payload_bit_count": 32}),
     (CountTable, {"k": 4, "counts": {1: 2, 2: 4}}),

@@ -110,8 +110,9 @@ def test_frame_stream_length_error_and_padding():
 
 
 def test_frame_stream_rejects_junk():
-    with pytest.raises(ValueError):
-        frame_stream("0101x111", 4, Scheme.KNUTH)
+    for junk in ("0101x111", b"0101"):
+        with pytest.raises(ValueError):
+            frame_stream(junk, 4, Scheme.KNUTH)
     with pytest.raises(ValueError):
         frame_stream("0101", 3, Scheme.KNUTH)
 
@@ -376,6 +377,23 @@ def test_cli_codec_memory_is_proportional_to_the_file(tmp_path, k):
     assert max(peaks) < 512 << 10, [peak >> 10 for peak in peaks]
 
 
+@pytest.mark.parametrize("k", [16, 1024])
+def test_framing_peaks_at_its_output_plus_32_kib(k):
+    """``frame_bytes`` / ``deframe_bytes`` return the buffer they built: no final copy."""
+    payload = random.Random(k).randbytes(64 << 10)
+    stream = frame_bytes(payload, k, Scheme.KNUTH)  # the untraced call builds the walk table
+    for side, run, expect in (("encode", lambda: frame_bytes(payload, k, Scheme.KNUTH), stream),
+                              ("decode", lambda: deframe_bytes(stream)[0], payload)):
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expect
+        assert peak <= len(result) + (32 << 10), (side, peak >> 10, len(result) >> 10)
+
+
 def test_header_claiming_2_63_bits_is_not_believed():
     one_frame = frame_stream("0110" * 4, 16, Scheme.KNUTH)
     claim = StreamHeader(k=16, scheme=Scheme.KNUTH, pad_mode=True, payload_bit_count=2**63 - 1)
@@ -591,6 +609,14 @@ def test_cli_tables(capsys):
     assert lines == ["k,lambda,N", "4,1,2", "4,2,4"]
 
 
+@pytest.mark.parametrize("k_list", ["", " , ", "4,x"])
+def test_cli_tables_rejects_a_k_list_without_numbers(capsys, k_list):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tables", "--what", "fig3", "--k-list", k_list])
+    assert exit_info.value.code == 2
+    assert "bad k list" in capsys.readouterr().err
+
+
 def test_cli_selfcheck(capsys):
     assert main(["selfcheck", "--k-max", "6"]) == 0
     out = capsys.readouterr().out
@@ -601,7 +627,7 @@ def test_cli_selfcheck(capsys):
 def test_cli_import_loads_only_the_codec_path():
     """Encode and decode load neither the analytics, the self-check harness nor mpmath.
 
-    ``balpack.knuth`` is an adapter over the kernel, so the codec path never loads it.
+    ``balpack.knuth`` holds no code; the Knuth codec is the kernel's ``Scheme.KNUTH``.
     """
     unwanted = ["dataclasses", "inspect", "fractions", "decimal", "csv", "mpmath",
                 "balpack.counting", "balpack.redundancy", "balpack.invariants", "balpack.knuth"]
