@@ -1,7 +1,7 @@
 """Command-line front end: file encode/decode, analytics CSV, self-check.
 
-Exit status is 0 on success and nonzero on any error or detected
-corruption.
+Exit status is 0 on success, 141 when the reader of standard output leaves
+early, and otherwise nonzero on any error or detected corruption.
 """
 
 from __future__ import annotations
@@ -115,7 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left surfaces here, not at exit
+        return status
+    except BrokenPipeError:  # like a shell filter: quiet, status 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (BalpackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

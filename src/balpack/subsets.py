@@ -7,23 +7,16 @@ channel (explicit end-of-packet), already balanced words travel with no
 prefix at all and the balanced member can be dropped from every subset,
 which caps the subset size at k/2 instead of k/2 + 1.
 
-Rank and unrank each make one left-to-right pass over the block, with no
-cache.  With d_0 = 0, d_1..d_k the running sums of x, t = d_k / 2 and e the
-first j with d_j = t, y = invert_prefix(x, e) has sums -d up to e and d - 2t
-after it.  invert_prefix(y, j) is a member of y's subset exactly when j is a
-first visit of y's sums (the first index at its level): new maxima and
-minima give the unbalanced members, the first return to zero the balanced
-one, so lambda is the span of y's sums.  Of two members, the one with the
-smaller j sorts first exactly when y's bit j + 1 is 0, so the compressed
-listing is the first visits followed by a 0, ascending, then those followed
-by a 1, descending.  An unbalanced x therefore ranks
-
-    rank = zeros_before + [x_{e+1} = 1] * (lambda - (hi_e - lo_e)),
-
-with zeros_before the first visits j < e of d with x_{j+1} = 1 and
-hi_e - lo_e the span of d over 0..e; the same pass reads lambda from the
-extremes of d before and after e.  The balanced member ranks lambda, last.
-Unrank scans y once into its first visits split by the next bit.  The
+Rank and unrank make the same left-to-right pass over y, with no cache.
+With d_1..d_k the running sums of x and e the first j with d_j = d_k / 2,
+y = invert_prefix(x, e).  invert_prefix(y, j) is a member of y's subset
+exactly when j is a first visit of y's sums (the first index at its level):
+new maxima and minima give the unbalanced members, the first return to zero
+the balanced one, so lambda is the span of y's sums.  Of two members, the
+one with the smaller j sorts first exactly when y's bit j + 1 is 0, so the
+compressed listing is the first visits followed by a 0, ascending, then
+those followed by a 1, descending (:func:`member_order`).  The rank is e's
+position in y's listing; the balanced member ranks lambda, last.  The
 explicit O(k^2) listings of :func:`subset_members` are the specification
 for tests and self-checks.
 
@@ -146,8 +139,13 @@ def subset_size_rds(y: str) -> int:
     return hi - lo
 
 
-def _first_visits(y: str) -> tuple[list[int], list[int]]:
-    """First visits j of the balanced word ``y``'s sums, ascending: (bit j + 1 is 0, is 1)."""
+def member_order(y: str) -> list[int]:
+    """Inversion lengths of the balanced word ``y``'s compressed subset, in listing order.
+
+    ``invert_prefix(y, member_order(y)[r])`` is member ``r`` of the
+    compressed listing.  Encode and decode both make this one pass; the
+    balanced member, BASELINE_FL's last, inverts up to y's first return to 0.
+    """
     run = hi = lo = 0
     zeros: list[int] = []
     ones: list[int] = []
@@ -163,50 +161,7 @@ def _first_visits(y: str) -> tuple[list[int], list[int]]:
                 continue
             lo = run
         (ones if y[j] == "1" else zeros).append(j)  # j < k: d_k = 0 is no new level
-    return zeros, ones
-
-
-def member_order(y: str) -> list[int]:
-    """Inversion lengths of the balanced word ``y``'s subset, in listing order.
-
-    ``invert_prefix(y, member_order(y)[r])`` is member ``r`` of the
-    uncompressed listing, the balanced member last.  The codec never builds
-    this list; it is the decode pass written out for the tests.
-    """
-    zeros, ones = _first_visits(y)
-    return zeros + ones[::-1] + [level_index(int(y, 2), len(y), 0)]
-
-
-def _rank(x: str, t: int) -> tuple[int, int, int]:
-    """First balancing index e, compressed rank and subset size of ``x``; t = d_k / 2 != 0."""
-    run = hi = lo = zeros_before = 0
-    bits = enumerate(x, start=1)
-    for e, c in bits:
-        if c == "1":
-            run += 1
-            if run <= hi:
-                continue
-            hi = run
-        else:
-            run -= 1
-            if run >= lo:
-                continue
-            lo = run
-        if run == t:  # the first balancing index is a first visit: t != 0
-            break
-        zeros_before += x[e] == "1"
-    top = bottom = t  # the extremes of d over e..k
-    for _, c in bits:
-        if c == "1":
-            run += 1
-            if run > top:
-                top = run
-        else:
-            run -= 1
-            if run < bottom:
-                bottom = run
-    lam = max(-lo, top - 2 * t) - min(-hi, bottom - 2 * t)  # y's sums: -d, then d - 2t
-    return e, zeros_before + (lam - (hi - lo) if x[e] == "1" else 0), lam
+    return zeros + ones[::-1]
 
 
 def check_block_length(k: int, scheme: Scheme) -> None:
@@ -275,18 +230,14 @@ class BlockCodec:
         t = xi.bit_count() - self.half
         if not t and self.prefix_less:
             return xi, 0
-        if self.knuth or not t:
-            e = level_index(xi, k, t)  # the first balancing index
-            y = xi ^ (((1 << e) - 1) << (k - e))
-            if self.knuth:  # the rank is e - 1
-                return (e - 1) << k | y, self.max_prefix
-            # BASELINE_FL lists a balanced x last, after the compressed subset
-            zeros, ones = _first_visits(bin(y | self.lead)[3:])
-            return (len(zeros) + len(ones)) << k | y, self.max_prefix
-        e, rank, lam = _rank(bin(xi | self.lead)[3:], t)
+        e = level_index(xi, k, t)  # the first balancing index
         y = xi ^ (((1 << e) - 1) << (k - e))
+        if self.knuth:  # the rank is e - 1
+            return (e - 1) << k | y, self.max_prefix
+        order = member_order(bin(y | self.lead)[3:])
+        rank = order.index(e) if t else len(order)  # BASELINE_FL lists a balanced x last
         if self.vl:
-            return rank << k | y, _vl_prefix(lam)
+            return rank << k | y, _vl_prefix(len(order))
         if self.full:
             rank = balance_rank(rank, self.rank_bits)
         return rank << k | y, self.max_prefix
@@ -308,8 +259,8 @@ class BlockCodec:
         if self.knuth:  # the inversion index e = rank + 1 is any of 1..k
             size = k
         else:
-            zeros, ones = _first_visits(bin(y | self.lead)[3:])
-            lam = len(zeros) + len(ones)
+            order = member_order(bin(y | self.lead)[3:])
+            lam = len(order)
             if self.vl and p != _vl_prefix(lam):
                 raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
             # prefix-less schemes drop the balanced member, ranked last
@@ -318,10 +269,8 @@ class BlockCodec:
             raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
         if self.knuth:
             e = rank + 1
-        elif rank < len(zeros):
-            e = zeros[rank]
         elif rank < lam:
-            e = ones[lam - 1 - rank]
+            e = order[rank]
         else:  # BASELINE_FL's balanced member
             e = level_index(y, k, 0)
         x = y ^ (((1 << e) - 1) << (k - e))

@@ -96,15 +96,17 @@ _BYTE_WALK: tuple[list[int], list[bytes]] | None = None
 
 def _build_byte_walk() -> tuple[list[int], list[bytes]]:
     global _BYTE_WALK
-    nets, rows = [], []
-    for b in range(256):
-        row, run = [0] * 17, 0
-        for j in range(1, 9):
-            run += 1 if b >> (8 - j) & 1 else -1
-            row[run] = row[run] or j
-        nets.append(run)
-        rows.append(bytes(row))
-    _BYTE_WALK = nets, rows
+    nets, rows = [0], [bytearray(17)]  # the empty prefix
+    for j in range(1, 9):  # extend every j - 1 bit prefix by a 0, then by a 1
+        grown_nets, grown_rows = [], []
+        for run, row in zip(nets, rows):
+            for level in (run - 1, run + 1):
+                grown = row[:]
+                grown[level] = grown[level] or j
+                grown_nets.append(level)
+                grown_rows.append(grown)
+        nets, rows = grown_nets, grown_rows
+    _BYTE_WALK = nets, [bytes(row) for row in rows]
     return _BYTE_WALK
 
 

@@ -617,6 +617,22 @@ def test_cli_tables_rejects_a_k_list_without_numbers(capsys, k_list):
     assert "bad k list" in capsys.readouterr().err
 
 
+def test_cli_tables_stops_quietly_when_the_reader_leaves():
+    """``tables … | head -1``: a closed pipe ends the command with no message and status 141."""
+    code = "import sys; from balpack.cli import main; sys.exit(main(sys.argv[1:]))"
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    # about 116 KiB of CSV: more than a pipe holds, so the writer outlives the reader
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "tables", "--what", "nlambda", "--k-list", "1024"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src_dir)},
+    )
+    assert proc.stdout.readline().rstrip() == b"k,lambda,N"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_cli_selfcheck(capsys):
     assert main(["selfcheck", "--k-max", "6"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from balpack import subsets
 from balpack.errors import BalpackError, CorruptPacketError
+from balpack.fourb6b import balance_rank
 from balpack.subsets import (
+    BlockCodec,
     Packet,
     Scheme,
     ceil_log2,
@@ -20,7 +22,7 @@ from balpack.subsets import (
     subset_members,
     subset_size_rds,
 )
-from balpack.words import invert_prefix, is_balanced
+from balpack.words import first_balancing_index, invert_prefix, is_balanced
 
 RANKED_SCHEMES = [
     Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL, Scheme.PROPOSED_FULL
@@ -225,10 +227,11 @@ def test_packet_length_property():
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
 def test_member_order_matches_listing_oracle(k):
     for y in balanced_words(k):
-        order = member_order(y)
-        members = tuple(invert_prefix(y, j) for j in order)
-        assert members == subset_members(y, includes_balanced=True).members
-        assert members[:-1] == subset_members(y, includes_balanced=False).members
+        members = tuple(invert_prefix(y, j) for j in member_order(y))
+        assert members == subset_members(y, includes_balanced=False).members
+        # BASELINE_FL's balanced member inverts up to y's first return to zero
+        balanced = invert_prefix(y, first_balancing_index(y))
+        assert (*members, balanced) == subset_members(y, includes_balanced=True).members
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14])
@@ -259,7 +262,7 @@ def test_encode_rank_matches_listing_oracle(data):
     rank, y = int(packet.bits[:nbits], 2), packet.bits[nbits:]
     assert rank == subset_members(y, includes_balanced=True).members.index(x)
     assert decode_packet(packet, k, Scheme.BASELINE_FL) == x
-    # PROPOSED_VL's rank and prefix length, then every rank below each
+    # every ranked prefix of an unbalanced x, then every rank below each
     # scheme's subset size decodes to that listing entry
     members = subset_members(y, includes_balanced=True).members
     lam = len(members) - 1
@@ -267,9 +270,16 @@ def test_encode_rank_matches_listing_oracle(data):
     if is_balanced(x):
         assert vl.bits == x
     else:
+        index = members.index(x)
         p = vl.bit_length - k
         assert p == prefix_length(k, Scheme.PROPOSED_VL, lam)
-        assert (int(vl.bits[:p], 2), vl.bits[p:]) == (members.index(x), y)
+        assert (int(vl.bits[:p], 2), vl.bits[p:]) == (index, y)
+        fl_bits = prefix_length(k, Scheme.PROPOSED_FL)
+        fl = encode_packet(x, Scheme.PROPOSED_FL).bits
+        assert (int(fl[:fl_bits], 2), fl[fl_bits:]) == (index, y)
+        full_bits = prefix_length(k, Scheme.PROPOSED_FULL)
+        full = encode_packet(x, Scheme.PROPOSED_FULL).bits
+        assert (int(full[:full_bits], 2), full[full_bits:]) == (balance_rank(index, fl_bits), y)
     for scheme in (Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL):
         size = lam + (scheme is Scheme.BASELINE_FL)
         nbits = prefix_length(k, scheme, lam if scheme is Scheme.PROPOSED_VL else None)
@@ -306,7 +316,6 @@ def test_codec_path_never_lists(monkeypatch, scheme):
         raise AssertionError("the codec built an explicit subset listing")
 
     monkeypatch.setattr(subsets, "_members", listing_forbidden)
-    monkeypatch.setattr(subsets, "member_order", listing_forbidden)
     k = 1024
     rng = random.Random(1024)
     blocks = ["01" * (k // 2), "1" * k, "0" * k]
@@ -316,19 +325,20 @@ def test_codec_path_never_lists(monkeypatch, scheme):
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
 def test_ranked_decoders_accept_exactly_the_encoder_image(k, scheme):
-    # every bit string of length k..k+6 covers every packet length the
-    # schemes emit at these k; each accepted packet is canonical (Knuth's
+    # every packet value at every prefix length the scheme can emit goes
+    # through the int kernel; each accepted packet is canonical (Knuth's
     # too: an inversion index that is not the first balancing index of the
     # decoded word is refused)
+    codec = BlockCodec(k, scheme)
     accepted = 0
-    for n in range(k, k + 7):
-        for bits in all_words(n):
+    for p in range(codec.max_prefix + 1):
+        for v in range(1 << (k + p)):
             try:
-                x = decode_packet(Packet(bits), k, scheme)
+                x = codec.decode(v, p)
             except BalpackError:
                 continue
             accepted += 1
-            assert encode_packet(x, scheme).bits == bits
+            assert codec.encode(x) == (v, p)
     assert accepted == 2**k
