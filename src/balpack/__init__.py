@@ -33,10 +33,7 @@ _HOMES = {
         "Packet", "Scheme", "SubsetListing", "decode_packet", "encode_packet",
         "prefix_length", "subset_members", "subset_size_rds",
     ),
-    "words": (
-        "RdsExtrema", "disparity", "first_balancing_index", "invert_prefix", "is_balanced",
-        "rds_extrema",
-    ),
+    "words": ("disparity", "first_balancing_index", "invert_prefix", "is_balanced"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

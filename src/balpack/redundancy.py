@@ -141,26 +141,24 @@ def count_rows(k_list: Iterable[int]) -> list[tuple[int, int, int]]:
     return [(k, s, n) for k in k_list for s, n in count_table(k).counts.items()]
 
 
+#: Each table's CSV header and the function that builds its rows from a k list.
+_TABLES = {
+    "table1": (("k", "H0", "H", "H1", "H2"), comparison_rows),
+    "nlambda": (("k", "lambda", "N"), count_rows),
+    "fig2": (("k", "H_prime", "H1_prime", "log2k", "ceil_log2k"), balanced_prefix_rows),
+    "fig3": (("k", "knuth_bits", "baseline_fl_bits", "proposed_fl_bits"), integer_prefix_rows),
+}
+
+
 def emit_tables(what: str, k_list: Iterable[int], out: TextIO) -> None:
-    """Write one of the analytics tables as CSV with 4-decimal H columns."""
-    writer = csv.writer(out)
-    if what == "table1":
-        writer.writerow(["k", "H0", "H", "H1", "H2"])
-        for row in comparison_rows(k_list):
-            writer.writerow(
-                [row.k, f"{row.h0:.4f}", f"{row.h:.4f}", f"{row.h1:.4f}", f"{row.h2:.4f}"]
-            )
-    elif what == "nlambda":
-        writer.writerow(["k", "lambda", "N"])
-        for k, s, n in count_rows(k_list):
-            writer.writerow([k, s, n])
-    elif what == "fig2":
-        writer.writerow(["k", "H_prime", "H1_prime", "log2k", "ceil_log2k"])
-        for k, hp, h1p, lg, clg in balanced_prefix_rows(k_list):
-            writer.writerow([k, f"{hp:.4f}", f"{h1p:.4f}", f"{lg:.4f}", clg])
-    elif what == "fig3":
-        writer.writerow(["k", "knuth_bits", "baseline_fl_bits", "proposed_fl_bits"])
-        for row in integer_prefix_rows(k_list):
-            writer.writerow(row)
-    else:
+    """Write one of the analytics tables as CSV, floats at 4 decimals.
+
+    Every row is built before the first line is written, so a bad k writes nothing.
+    """
+    if what not in _TABLES:
         raise ValueError(f"unknown table {what!r}")
+    header, rows_for = _TABLES[what]
+    rows = [[f"{v:.4f}" if isinstance(v, float) else v for v in row] for row in rows_for(k_list)]
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)

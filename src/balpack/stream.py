@@ -20,7 +20,7 @@ import struct
 from typing import NamedTuple
 
 from .errors import BalpackError, InputLengthError, StreamCorruptError
-from .subsets import BlockCodec, Scheme, check_block_length
+from .subsets import BlockCodec, Scheme
 
 MAGIC = b"BPK1"
 _HEADER = struct.Struct(">4sHBBQ")  # magic, k, scheme, pad flag, payload bit count
@@ -48,7 +48,7 @@ class StreamHeader(NamedTuple):
             raise StreamCorruptError(f"bad magic {magic!r}, expected {MAGIC!r}")
         try:
             scheme = Scheme(scheme_id)
-            check_block_length(k, scheme)
+            BlockCodec(k, scheme)  # the codec's own limits on k
         except ValueError as exc:
             raise StreamCorruptError(f"bad header: {exc}") from None
         if pad > 1 or (not pad and nbits % k):

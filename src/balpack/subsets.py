@@ -31,8 +31,9 @@ PROPOSED_FULL PROPOSED_FL with the prefix re-encoded into balanced sextets
 One kernel, :class:`BlockCodec`, serves all five; full balancing is its
 single extra step, :func:`balpack.fourb6b.balance_rank` on the rank.
 It takes and returns blocks as integers, first bit most significant; only
-the ranked passes format a block, once.  It resolves the scheme once and
-checks nothing: streams are checked once per stream, and
+the ranked passes format a block, once.  It works out the scheme's widths
+and its smallest k once, from the largest listing the scheme ranks into,
+and checks no block: streams are checked once per stream, and
 :func:`encode_packet` / :func:`decode_packet` are its checking string
 adapters.
 """
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
-from .words import check_word, is_balanced, level_index, rds_extrema
+from .words import check_word, is_balanced, level_index
 
 
 class Scheme(enum.Enum):
@@ -54,12 +55,6 @@ class Scheme(enum.Enum):
     PROPOSED_FL = 2
     PROPOSED_VL = 3
     PROPOSED_FULL = 4
-
-
-#: Schemes that send already balanced words prefix-less.
-PREFIX_LESS_SCHEMES = frozenset(
-    {Scheme.PROPOSED_FL, Scheme.PROPOSED_VL, Scheme.PROPOSED_FULL}
-)
 
 
 class SubsetListing(NamedTuple):
@@ -118,7 +113,7 @@ def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
     set (the uncompressed baseline listing) and omitted otherwise.
     """
     check_word(y)
-    if len(y) % 2 or not is_balanced(y):
+    if not is_balanced(y):
         raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
     members = _members(y)  # one cached listing serves both forms
     return SubsetListing(y=y, members=members if includes_balanced else members[:-1],
@@ -126,17 +121,16 @@ def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
 
 
 def subset_size_rds(y: str) -> int:
-    """Compressed-subset size of ``y`` straight from its running-sum span.
+    """Compressed-subset size of ``y``: the span of its running sums.
 
-    The size equals the number of distinct running-sum levels ``y`` visits
-    minus one, i.e. max - min of the unit-step partial sums.  Equality with
-    the enumerated listing is asserted exhaustively in the test suite.
+    Each new level the sums reach is one member, so the size is the length
+    of :func:`member_order`, the pass the codec makes.  Equality with the
+    enumerated listing is asserted exhaustively in the test suite.
     """
     check_word(y)
-    if len(y) % 2 or not is_balanced(y):
+    if not is_balanced(y):
         raise ValueError(f"running-sum size rule needs a balanced word, got {y!r}")
-    hi, lo = rds_extrema(y)
-    return hi - lo
+    return len(member_order(y))
 
 
 def member_order(y: str) -> list[int]:
@@ -164,15 +158,6 @@ def member_order(y: str) -> list[int]:
     return zeros + ones[::-1]
 
 
-def check_block_length(k: int, scheme: Scheme) -> None:
-    """Raise ``ValueError`` unless ``scheme`` can code blocks of ``k`` bits."""
-    if k % 2 or k < 2:
-        raise ValueError(f"block length must be even >= 2, got {k}")
-    if k < 4 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
-        raise ValueError(f"{scheme.name} needs k >= 4 (a zero-bit rank prefix at k={k} "
-                         "would collide with the prefix-less balanced case)")
-
-
 def ceil_log2(n: int) -> int:
     """Smallest r with 2**r >= n, for n >= 1."""
     if n < 1:
@@ -181,23 +166,21 @@ def ceil_log2(n: int) -> int:
 
 
 def prefix_length(k: int, scheme: Scheme, lam: int | None = None) -> int:
-    """Prefix bit count for a scheme at block length ``k``.
+    """Prefix bit count for a scheme at block length ``k``: the codec's ``max_prefix``.
 
     ``lam`` (the compressed-subset size) is required for PROPOSED_VL only.
     The variable-length rule keeps a 1-bit floor for unbalanced words so a
     rank prefix can never be confused with the prefix-less balanced case.
     """
-    check_block_length(k, scheme)
-    if (lam is None) == (scheme is Scheme.PROPOSED_VL):
+    codec = BlockCodec(k, scheme)
+    if (lam is None) == codec.vl:
         raise ValueError(f"the subset size is needed for PROPOSED_VL and only there, "
                          f"got {lam} for {scheme.name}")
-    if lam is not None:
-        if not 1 <= lam <= k // 2:
-            raise ValueError(f"subset size {lam} outside 1..{k // 2}")
-        return _vl_prefix(lam)
-    r = ceil_log2(k // 2)
-    return {Scheme.KNUTH: ceil_log2(k), Scheme.BASELINE_FL: ceil_log2(k // 2 + 1),
-            Scheme.PROPOSED_FL: r, Scheme.PROPOSED_FULL: 6 * ((r + 3) // 4)}[scheme]
+    if lam is None:
+        return codec.max_prefix
+    if not 1 <= lam <= k // 2:
+        raise ValueError(f"subset size {lam} outside 1..{k // 2}")
+    return _vl_prefix(lam)
 
 
 def _vl_prefix(lam: int) -> int:
@@ -212,17 +195,23 @@ class BlockCodec:
     """
 
     def __init__(self, k: int, scheme: Scheme) -> None:
-        check_block_length(k, scheme)
+        if k % 2 or k < 2:
+            raise ValueError(f"block length must be even >= 2, got {k}")
         self.k, self.half, self.fmt = k, k // 2, f"0{k}b"
         self.lead = 1 << k  # bin(v | lead)[3:] is v's k bits, in half the time of format
         self.mask = self.lead - 1
         self.knuth = scheme is Scheme.KNUTH
         self.vl = scheme is Scheme.PROPOSED_VL
         self.full = scheme is Scheme.PROPOSED_FULL
-        self.prefix_less = scheme in PREFIX_LESS_SCHEMES
-        lam = k // 2 if self.vl else None  # VL's largest subset has its longest prefix
-        self.rank_bits = prefix_length(k, Scheme.PROPOSED_FL if self.full else scheme, lam)
-        self.max_prefix = prefix_length(k, scheme, lam)
+        self.prefix_less = scheme not in (Scheme.KNUTH, Scheme.BASELINE_FL)
+        # the rank spans the largest listing: k indexes, k/2 members, or those and the balanced one
+        listing = k if self.knuth else k // 2 if self.prefix_less else k // 2 + 1
+        self.rank_bits = ceil_log2(listing)
+        self.max_prefix = (_vl_prefix(k // 2) if self.vl  # VL's largest subset, longest prefix
+                           else 6 * ((self.rank_bits + 3) // 4) if self.full else self.rank_bits)
+        if self.prefix_less and not self.max_prefix:
+            raise ValueError(f"{scheme.name} needs k >= 4 (a zero-bit rank prefix at k={k} "
+                             "would collide with the prefix-less balanced case)")
 
     def encode(self, xi: int) -> tuple[int, int]:
         """Packet value and prefix bit count of the block of value ``xi``."""

@@ -13,18 +13,7 @@ bit is the most significant) and walks it a byte at a time.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import NamedTuple
-
 _FLIP = str.maketrans("01", "10")
-_BIPOLAR = bytes.maketrans(b"01", b"\xff\x01")  # -1 and +1 as signed bytes
-
-
-class RdsExtrema(NamedTuple):
-    """Extremes of the running digital sum over all prefixes of a word."""
-
-    max_rds: int
-    min_rds: int
 
 
 def check_word(w: str, *, allow_empty: bool = False) -> str:
@@ -42,18 +31,6 @@ def disparity(w: str) -> int:
     """Bipolar digit sum of ``w``: (#ones - #zeros). Zero iff balanced."""
     check_word(w)
     return 2 * w.count("1") - len(w)
-
-
-def rds_extrema(w: str) -> RdsExtrema:
-    """Max and min of the bipolar partial sums d_1..d_k of ``w``.
-
-    Consecutive partial sums differ by exactly +-1 (one bipolar symbol per
-    step); the span max-min therefore counts the distinct sum levels the
-    word visits minus one.
-    """
-    check_word(w)
-    d = list(accumulate(memoryview(w.encode().translate(_BIPOLAR)).cast("b")))
-    return RdsExtrema(max(d), min(d))
 
 
 def invert_prefix(w: str, j: int) -> str:

@@ -92,6 +92,9 @@ def test_header_corruption():
                          payload_bit_count=8).pack()
     with pytest.raises(StreamCorruptError):
         StreamHeader.unpack(odd_k[:5] + bytes([7]) + odd_k[6:])
+    for k in (0, 0xFFFF):  # nbits % k must not be reached: no ZeroDivisionError at k = 0
+        with pytest.raises(StreamCorruptError, match="block length"):
+            StreamHeader.unpack(good[:4] + k.to_bytes(2, "big") + good[6:])
 
 
 def test_frame_stream_example():
@@ -607,6 +610,15 @@ def test_cli_tables(capsys):
     assert main(["tables", "--what", "nlambda", "--k-list", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["k,lambda,N", "4,1,2", "4,2,4"]
+
+
+@pytest.mark.parametrize("what, k_list", [
+    ("table1", "4,5"), ("nlambda", "4,3"), ("fig2", "2"), ("fig3", "4,2"),
+])
+def test_cli_tables_writes_nothing_when_a_k_is_bad(capsys, what, k_list):
+    assert main(["tables", "--what", what, "--k-list", k_list]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("k_list", ["", " , ", "4,x"])

@@ -85,7 +85,9 @@ def test_subset_size_rds_examples():
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
 def test_subset_size_rds_matches_listing(k):
     for y in balanced_words(k):
-        assert subset_size_rds(y) == len(subset_members(y, includes_balanced=False))
+        size = len(subset_members(y, includes_balanced=False))
+        d = list(itertools.accumulate(1 if c == "1" else -1 for c in y))
+        assert subset_size_rds(y) == size == max(d) - min(d)  # the span of the running sums
 
 
 def test_prefix_length_examples():
@@ -98,6 +100,26 @@ def test_prefix_length_examples():
     k = 2048
     for lam in range(1, k // 2 + 1):  # the rule: ceil(log2 lambda) with a 1-bit floor
         assert prefix_length(k, Scheme.PROPOSED_VL, lam=lam) == max(1, ceil_log2(lam))
+    for k in range(2, 2049, 2):  # every scheme's rank and prefix widths, written out
+        r = ceil_log2(k // 2)  # the compressed listing holds at most k/2 members
+        widths = {  # scheme: (rank bits, largest prefix)
+            Scheme.KNUTH: (ceil_log2(k), ceil_log2(k)),
+            Scheme.BASELINE_FL: (ceil_log2(k // 2 + 1), ceil_log2(k // 2 + 1)),
+            Scheme.PROPOSED_FL: (r, r),
+            Scheme.PROPOSED_VL: (r, max(1, r)),
+            Scheme.PROPOSED_FULL: (r, 6 * ((r + 3) // 4)),
+        }
+        for scheme, (rank_bits, max_prefix) in widths.items():
+            if k == 2 and scheme in (Scheme.PROPOSED_FL, Scheme.PROPOSED_FULL):
+                # a zero-bit rank prefix would read as the prefix-less balanced case
+                for call in (lambda: BlockCodec(k, scheme), lambda: prefix_length(k, scheme)):
+                    with pytest.raises(ValueError, match="needs k >= 4"):
+                        call()
+                continue
+            codec = BlockCodec(k, scheme)
+            assert (codec.rank_bits, codec.max_prefix) == (rank_bits, max_prefix), (k, scheme)
+            lam = k // 2 if scheme is Scheme.PROPOSED_VL else None
+            assert prefix_length(k, scheme, lam) == max_prefix
 
 
 def test_prefix_length_bad_arguments():

@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balpack.words import (
-    RdsExtrema,
     disparity,
     first_balancing_index,
     invert_prefix,
     is_balanced,
     level_index,
-    rds_extrema,
 )
 
 words = st.text(alphabet="01", min_size=1, max_size=64)
@@ -62,20 +60,6 @@ def test_disparity_rejects_empty_and_junk():
         disparity("")
     with pytest.raises(ValueError):
         disparity("01a1")
-
-
-def test_rds_extrema_examples():
-    assert rds_extrema("0011") == RdsExtrema(0, -2)
-    assert rds_extrema("0101") == RdsExtrema(0, -1)
-    assert rds_extrema("1111") == RdsExtrema(4, 1)
-
-
-@given(words)
-def test_rds_extrema_matches_partial_sums(w):
-    sums = oracle_sums(w)
-    assert rds_extrema(w) == (max(sums), min(sums))
-    # unit steps: consecutive partial sums differ by exactly one
-    assert all(abs(a - b) == 1 for a, b in zip(sums, sums[1:]))
 
 
 def test_invert_prefix_examples():
