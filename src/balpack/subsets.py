@@ -20,6 +20,15 @@ position in y's listing; the balanced member ranks lambda, last.  The
 explicit O(k^2) listings of :func:`subset_members` are the specification
 for tests and self-checks.
 
+The pass walks y a byte at a time.  A first visit is a record of the byte
+it falls in: its running sum, counted from the byte's start, goes above or
+below every earlier one.  One lazily built 256-entry table gives each byte
+value its net sum, its highest and lowest running sums, and those records,
+so a byte whose sums stay within the levels already reached costs one
+addition, and any other byte is read off its records, not bit by bit.  One
+walk serves every k: it measures faster than a bit-by-bit pass from
+k = 16 up.
+
 Schemes
 -------
 KNUTH         inversion-index prefix, ceil(log2 k) bits
@@ -30,12 +39,11 @@ PROPOSED_FULL PROPOSED_FL with the prefix re-encoded into balanced sextets
 
 One kernel, :class:`BlockCodec`, serves all five; full balancing is its
 single extra step, :func:`balpack.fourb6b.balance_rank` on the rank.
-It takes and returns blocks as integers, first bit most significant; only
-the ranked passes format a block, once.  It works out the scheme's widths
-and its smallest k once, from the largest listing the scheme ranks into,
-and checks no block: streams are checked once per stream, and
-:func:`encode_packet` / :func:`decode_packet` are its checking string
-adapters.
+It takes and returns blocks as integers, first bit most significant, and
+formats none.  It works out the scheme's widths and its smallest k once,
+from the largest listing the scheme ranks into, and checks no block:
+streams are checked once per stream, and :func:`encode_packet` /
+:func:`decode_packet` are its checking string adapters.
 """
 
 from __future__ import annotations
@@ -130,31 +138,87 @@ def subset_size_rds(y: str) -> int:
     check_word(y)
     if not is_balanced(y):
         raise ValueError(f"running-sum size rule needs a balanced word, got {y!r}")
-    return len(member_order(y))
+    return len(member_order(int(y, 2), len(y)))
 
 
-def member_order(y: str) -> list[int]:
-    """Inversion lengths of the balanced word ``y``'s compressed subset, in listing order.
+#: Per byte value: its net bipolar sum, the highest and lowest of its running
+#: sums (the empty prefix's 0 included), and its records, (bit, sum) for each
+#: bit 1..8 at which its running sum goes above or below every earlier one.
+#: Built on first use.
+_BYTE_SPAN: list[tuple[int, int, int, tuple[tuple[int, int], ...]]] | None = None
 
-    ``invert_prefix(y, member_order(y)[r])`` is member ``r`` of the
-    compressed listing.  Encode and decode both make this one pass; the
-    balanced member, BASELINE_FL's last, inverts up to y's first return to 0.
+
+def _build_byte_span() -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]]:
+    global _BYTE_SPAN
+    spans = [(0, 0, 0, ())]  # the empty prefix
+    for j in range(1, 9):  # extend every j - 1 bit prefix by a 0, then by a 1
+        grown = []
+        for net, high, low, records in spans:
+            down, up = net - 1, net + 1  # past the lowest or highest sum so far: a record
+            grown.append((down, high, down, (*records, (j, down))) if net == low
+                         else (down, high, low, records))
+            grown.append((up, up, low, (*records, (j, up))) if net == high
+                         else (up, high, low, records))
+        spans = grown
+    _BYTE_SPAN = spans
+    return spans
+
+
+def _span_reach(v: int, k: int, level: int) -> int:
+    """:func:`balpack.words.level_index` for a ``level`` the ``k``-bit word ``v`` reaches.
+
+    The ranked schemes' search, read off the span table so that their
+    processes never build the level rows.  A level other than 0 is first
+    reached at a record of its byte; the first return to 0 is the first
+    reach, after bit 1, of the level the first bit left.
     """
-    run = hi = lo = 0
+    if not level:
+        top = v >> k - 1
+        return 1 + _span_reach(v ^ top << k - 1, k - 1, 1 - 2 * top)
+    spans = _BYTE_SPAN or _build_byte_span()
+    done = 0
+    for b in (v << -k % 8).to_bytes((k + 7) // 8, "big"):
+        net, high, low, records = spans[b]
+        if low <= level <= high:
+            for i, d in records:
+                if d == level:
+                    return done + i
+        level -= net
+        done += 8
+    raise ValueError(f"the running sums of {format(v, f'0{k}b')!r} never reach the level")
+
+
+def member_order(y: int, k: int) -> list[int]:
+    """Inversion lengths of the compressed subset of ``y``, in listing order.
+
+    ``y`` is a balanced ``k``-bit block; inverting its first
+    ``member_order(y, k)[r]`` bits gives member ``r``.  Encode and decode
+    both make this one pass; the balanced member, BASELINE_FL's last,
+    inverts up to y's first return to 0.
+    """
+    spans = _BYTE_SPAN or _build_byte_span()
+    run = hi = lo = done = 0
     zeros: list[int] = []
     ones: list[int] = []
-    for j, c in enumerate(y, start=1):
-        if c == "1":
-            run += 1
-            if run <= hi:
-                continue
-            hi = run
-        else:
-            run -= 1
-            if run >= lo:
-                continue
-            lo = run
-        (ones if y[j] == "1" else zeros).append(j)  # j < k: d_k = 0 is no new level
+    v = y << -k % 8
+    last = k - 1 + -k % 8  # y's bit j + 1 is bit (last - j) of v
+    for b in v.to_bytes((k + 7) // 8, "big"):
+        net, high, low, records = spans[b]
+        if run + high > hi or run + low < lo:  # the byte reaches a new level
+            for i, d in records:
+                level = run + d
+                if level > hi:
+                    hi = level
+                elif level < lo:
+                    lo = level
+                else:
+                    continue
+                j = done + i
+                if j >= k:  # d_k = 0 is no new level; the zero fill after it is no member
+                    break
+                (ones if v >> last - j & 1 else zeros).append(j)
+        run += net
+        done += 8
     return zeros + ones[::-1]
 
 
@@ -198,9 +262,9 @@ class BlockCodec:
         if k % 2 or k < 2:
             raise ValueError(f"block length must be even >= 2, got {k}")
         self.k, self.half, self.fmt = k, k // 2, f"0{k}b"
-        self.lead = 1 << k  # bin(v | lead)[3:] is v's k bits, in half the time of format
-        self.mask = self.lead - 1
+        self.mask = (1 << k) - 1
         self.knuth = scheme is Scheme.KNUTH
+        self.reach = level_index if self.knuth else _span_reach  # ranked blocks need no level rows
         self.vl = scheme is Scheme.PROPOSED_VL
         self.full = scheme is Scheme.PROPOSED_FULL
         self.prefix_less = scheme not in (Scheme.KNUTH, Scheme.BASELINE_FL)
@@ -219,11 +283,11 @@ class BlockCodec:
         t = xi.bit_count() - self.half
         if not t and self.prefix_less:
             return xi, 0
-        e = level_index(xi, k, t)  # the first balancing index
+        e = self.reach(xi, k, t)  # the first balancing index
         y = xi ^ (((1 << e) - 1) << (k - e))
         if self.knuth:  # the rank is e - 1
             return (e - 1) << k | y, self.max_prefix
-        order = member_order(bin(y | self.lead)[3:])
+        order = member_order(y, k)
         rank = order.index(e) if t else len(order)  # BASELINE_FL lists a balanced x last
         if self.vl:
             return rank << k | y, _vl_prefix(len(order))
@@ -248,7 +312,7 @@ class BlockCodec:
         if self.knuth:  # the inversion index e = rank + 1 is any of 1..k
             size = k
         else:
-            order = member_order(bin(y | self.lead)[3:])
+            order = member_order(y, k)
             lam = len(order)
             if self.vl and p != _vl_prefix(lam):
                 raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
@@ -261,7 +325,7 @@ class BlockCodec:
         elif rank < lam:
             e = order[rank]
         else:  # BASELINE_FL's balanced member
-            e = level_index(y, k, 0)
+            e = _span_reach(y, k, 0)
         x = y ^ (((1 << e) - 1) << (k - e))
         # the ranked pass yields first balancing indexes only; Knuth's prefix does not
         if self.knuth and level_index(x, k, x.bit_count() - half) != e:

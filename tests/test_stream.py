@@ -688,12 +688,28 @@ def test_analytics_run_without_mpmath():
 
 
 def test_cli_import_builds_no_walk_table():
-    """The byte-walk table is built by the first walk, so it stays out of set-up time."""
-    code = ("import balpack.cli; from balpack import words; print(words._BYTE_WALK is None); "
-            "words.level_index(1, 2, -1); print(words._BYTE_WALK is None)")
+    """Each byte table is built by its first walk, so both stay out of set-up time.
+
+    The ranked schemes read every block off the span table, so they build
+    it and not the level rows; the first Knuth block builds those.
+    """
+    code = (
+        "import balpack.cli; from balpack import subsets, words\n"
+        "def built(): print(subsets._BYTE_SPAN is not None, words._BYTE_WALK is not None)\n"
+        "built()\n"
+        "k = 66; y = int('01' * (k // 2), 2)  # one member, inverting the first bit\n"
+        "codec = subsets.BlockCodec(k, subsets.Scheme.BASELINE_FL)\n"
+        "assert codec.decode(y, codec.max_prefix) == y ^ 1 << k - 1\n"
+        "built()\n"
+        "x = y ^ 1 << k - 1; assert codec.decode(*codec.encode(x)) == x\n"
+        "assert codec.decode(*codec.encode(y)) == y  # a balanced block ranks last\n"
+        "built()\n"
+        "subsets.BlockCodec(k, subsets.Scheme.KNUTH).encode(x); built()\n"
+    )
     src_dir = Path(balpack.__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(src_dir)},
     )
-    assert result.stdout.split() == ["True", "False"]
+    assert result.stdout.split() == ["False", "False", "True", "False", "True", "False",
+                                     "True", "True"]

@@ -22,7 +22,7 @@ from balpack.subsets import (
     subset_members,
     subset_size_rds,
 )
-from balpack.words import first_balancing_index, invert_prefix, is_balanced
+from balpack.words import first_balancing_index, invert_prefix, is_balanced, level_index
 
 RANKED_SCHEMES = [
     Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL, Scheme.PROPOSED_FULL
@@ -246,14 +246,70 @@ def test_packet_length_property():
             assert n == k or k + 1 <= n <= k + prefix_length(k, Scheme.PROPOSED_FL)
 
 
+def string_walk(y):
+    """First visits of ``y``'s running sums in listing order, one character at a time.
+
+    The readable form of the pass :func:`member_order` makes a byte at a
+    time: a new maximum or minimum of the sums at j is a member, listed
+    ascending if y's bit j + 1 is 0 and descending after them if it is 1.
+    """
+    run = hi = lo = 0
+    zeros, ones = [], []
+    for j, c in enumerate(y, start=1):
+        run += 1 if c == "1" else -1
+        if lo <= run <= hi:
+            continue
+        hi, lo = max(hi, run), min(lo, run)
+        (ones if y[j] == "1" else zeros).append(j)  # j < k: d_k = 0 is no new level
+    return zeros + ones[::-1]
+
+
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
 def test_member_order_matches_listing_oracle(k):
     for y in balanced_words(k):
-        members = tuple(invert_prefix(y, j) for j in member_order(y))
+        members = tuple(invert_prefix(y, j) for j in member_order(int(y, 2), k))
         assert members == subset_members(y, includes_balanced=False).members
         # BASELINE_FL's balanced member inverts up to y's first return to zero
         balanced = invert_prefix(y, first_balancing_index(y))
         assert (*members, balanced) == subset_members(y, includes_balanced=True).members
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14, 16])
+def test_byte_walk_matches_string_walk_exhaustive(k):
+    # below k = 8 and at 10, 12 and 14 the last byte ends in a zero fill
+    for y in balanced_words(k):
+        assert member_order(int(y, 2), k) == string_walk(y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8, 9, 10, 12])
+def test_span_reach_matches_level_index_exhaustive(k):
+    for v in range(1 << k):
+        sums = itertools.accumulate(1 if v >> (k - j) & 1 else -1 for j in range(1, k + 1))
+        for level in set(sums):
+            assert subsets._span_reach(v, k, level) == level_index(v, k, level)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_byte_walk_matches_listing_oracle(data):
+    # k % 8 != 0 ends y in a partial byte whose zero fill walks down from 0;
+    # a y whose sums never go below 0 (rotated to start at its lowest sum) is
+    # where that fill would reach a new level first
+    k = data.draw(st.sampled_from([16, 62, 64, 66, 130, 1002, 1024, 1026]))
+    x = data.draw(st.integers(0, 2**k - 1))
+    e = level_index(x, k, x.bit_count() - k // 2)
+    y = x ^ (((1 << e) - 1) << (k - e))
+    if data.draw(st.booleans()):
+        sums = list(itertools.accumulate(1 if c == "1" else -1 for c in format(y, f"0{k}b")))
+        m = sums.index(min(sums)) + 1
+        y = (y << m | y >> (k - m)) & ((1 << k) - 1)
+    assert subsets._span_reach(x, k, x.bit_count() - k // 2) == e
+    assert subsets._span_reach(y, k, 0) == level_index(y, k, 0)
+    word = format(y, f"0{k}b")
+    order = member_order(y, k)
+    assert order == string_walk(word)
+    members = tuple(format(y ^ (((1 << j) - 1) << (k - j)), f"0{k}b") for j in order)
+    assert members == subset_members(word, includes_balanced=False).members
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14])
