@@ -7,7 +7,6 @@ channel (explicit end-of-packet), already balanced words travel with no
 prefix at all and the balanced member can be dropped from every subset,
 which caps the subset size at k/2 instead of k/2 + 1.
 
-Rank and unrank make the same left-to-right pass over y, with no cache.
 With d_1..d_k the running sums of x and e the first j with d_j = d_k / 2,
 y = invert_prefix(x, e).  invert_prefix(y, j) is a member of y's subset
 exactly when j is a first visit of y's sums (the first index at its level):
@@ -16,18 +15,19 @@ the balanced one, so lambda is the span of y's sums.  Of two members, the
 one with the smaller j sorts first exactly when y's bit j + 1 is 0, so the
 compressed listing is the first visits followed by a 0, ascending, then
 those followed by a 1, descending (:func:`member_order`).  The rank is e's
-position in y's listing; the balanced member ranks lambda, last.  The
-explicit O(k^2) listings of :func:`subset_members` are the specification
-for tests and self-checks.
+position in y's listing; the balanced member ranks lambda, last.  Decode
+walks y once and takes the entry its rank names.  Encode walks x once
+(:func:`_encode_rank`): up to e, y's first visits are x's, so it counts e's
+rank there and reads lambda off the sums after e, listing nothing.  No walk
+keeps a cache.  The explicit O(k^2) listings of :func:`subset_members` are
+the specification for tests and self-checks.
 
-The pass walks y a byte at a time.  A first visit is a record of the byte
-it falls in: its running sum, counted from the byte's start, goes above or
-below every earlier one.  One lazily built 256-entry table gives each byte
-value its net sum, its highest and lowest running sums, and those records,
-so a byte whose sums stay within the levels already reached costs one
-addition, and any other byte is read off its records, not bit by bit.  One
-walk serves every k: it measures faster than a bit-by-bit pass from
-k = 16 up.
+Each walk goes a byte at a time.  A first visit is a record of its byte:
+its running sum, counted from the byte's start, goes above or below every
+earlier one.  One lazily built 256-entry table gives each byte value its
+net sum, its highest and lowest running sums, and those records, so a byte
+whose sums stay within the levels already reached costs one addition, and
+any other byte is read off its records, not bit by bit.
 
 Schemes
 -------
@@ -167,10 +167,9 @@ def _build_byte_span() -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]
 def _span_reach(v: int, k: int, level: int) -> int:
     """:func:`balpack.words.level_index` for a ``level`` the ``k``-bit word ``v`` reaches.
 
-    The ranked schemes' search, read off the span table so that their
-    processes never build the level rows.  A level other than 0 is first
-    reached at a record of its byte; the first return to 0 is the first
-    reach, after bit 1, of the level the first bit left.
+    Read off the span table, so ranked processes never build the level rows.
+    A level other than 0 is first reached at a record of its byte; the first
+    return to 0 is the first reach, after bit 1, of the level bit 1 left.
     """
     if not level:
         top = v >> k - 1
@@ -188,13 +187,61 @@ def _span_reach(v: int, k: int, level: int) -> int:
     raise ValueError(f"the running sums of {format(v, f'0{k}b')!r} never reach the level")
 
 
+def _encode_rank(v: int, k: int, t: int, need_lam: bool) -> tuple[int, int, int | None]:
+    """First balancing index e of the ``k``-bit block ``v`` (t != 0), e's rank, and lambda.
+
+    One walk over v lists nothing: before e, v's first visits are y's, with the
+    inverse next bit.  With c those that v follows by a 1, e ranks c in
+    :func:`member_order` if v's bit e + 1 is 0, else c + lambda - (hi - lo), v's
+    span up to e.  Lambda (y's sums after e: v's less 2t) is None unless needed.
+    """
+    spans = _BYTE_SPAN or _build_byte_span()
+    # past bit k, y's sums go 0, ±1, 0, ... (±1 as y's first bit), then a 0 byte for w's window
+    pad = -k % 8
+    data = ((v << pad | 0xAA >> (v >> k - 1) + 8 - pad) << 8).to_bytes((k + 15) // 8, "big")
+    run = hi = lo = c = 0
+    for n, b in enumerate(data):
+        net, high, low, records = spans[b]
+        if run + high > hi or run + low < lo:  # the byte reaches a new level
+            w = b << 8 | data[n + 1]
+            for i, d in records:
+                level = run + d
+                if level > hi:
+                    hi = level
+                elif level < lo:
+                    lo = level
+                else:
+                    continue
+                if level == t:
+                    break
+                c += w >> 15 - i & 1
+            if lo <= t <= hi:  # t lies beyond every level until e reaches it
+                break
+        run += net
+    e, up = 8 * n + i, w >> 15 - i & 1  # up: v's bit e + 1
+    if not (up or need_lam):
+        return e, c, None
+    rest = b << i & 0xFF  # v's sums after e: its high with a 0 fill, its low with 1s
+    top, bot = t + spans[rest][1], t + spans[rest | (1 << i) - 1][2]
+    for b in data[n + 1 : -1]:
+        run += net
+        net, high, low, _ = spans[b]
+        if run + high > top:
+            top = run + high
+        if run + low < bot:
+            bot = run + low
+    top, bot = top - 2 * t, bot - 2 * t  # y's sums after e
+    lam = (top if top > -lo else -lo) - (bot if bot < -hi else -hi)
+    return e, c + lam - (hi - lo) if up else c, lam
+
+
 def member_order(y: int, k: int) -> list[int]:
     """Inversion lengths of the compressed subset of ``y``, in listing order.
 
     ``y`` is a balanced ``k``-bit block; inverting its first
-    ``member_order(y, k)[r]`` bits gives member ``r``.  Encode and decode
-    both make this one pass; the balanced member, BASELINE_FL's last,
-    inverts up to y's first return to 0.
+    ``member_order(y, k)[r]`` bits gives member ``r``.  Decode makes this
+    pass; the balanced member, BASELINE_FL's last, inverts up to y's first
+    return to 0.
     """
     spans = _BYTE_SPAN or _build_byte_span()
     run = hi = lo = done = 0
@@ -264,7 +311,6 @@ class BlockCodec:
         self.k, self.half, self.fmt = k, k // 2, f"0{k}b"
         self.mask = (1 << k) - 1
         self.knuth = scheme is Scheme.KNUTH
-        self.reach = level_index if self.knuth else _span_reach  # ranked blocks need no level rows
         self.vl = scheme is Scheme.PROPOSED_VL
         self.full = scheme is Scheme.PROPOSED_FULL
         self.prefix_less = scheme not in (Scheme.KNUTH, Scheme.BASELINE_FL)
@@ -281,16 +327,19 @@ class BlockCodec:
         """Packet value and prefix bit count of the block of value ``xi``."""
         k = self.k
         t = xi.bit_count() - self.half
-        if not t and self.prefix_less:
-            return xi, 0
-        e = self.reach(xi, k, t)  # the first balancing index
-        y = xi ^ (((1 << e) - 1) << (k - e))
         if self.knuth:  # the rank is e - 1
-            return (e - 1) << k | y, self.max_prefix
-        order = member_order(y, k)
-        rank = order.index(e) if t else len(order)  # BASELINE_FL lists a balanced x last
+            e = level_index(xi, k, t)
+            return (e - 1) << k | xi ^ (((1 << e) - 1) << (k - e)), self.max_prefix
+        if t:
+            e, rank, lam = _encode_rank(xi, k, t, self.vl)
+        elif self.prefix_less:
+            return xi, 0
+        else:  # BASELINE_FL lists a balanced x last
+            e = _span_reach(xi, k, 0)
+            rank = len(member_order(xi ^ (((1 << e) - 1) << (k - e)), k))
+        y = xi ^ (((1 << e) - 1) << (k - e))
         if self.vl:
-            return rank << k | y, _vl_prefix(len(order))
+            return rank << k | y, _vl_prefix(lam)
         if self.full:
             rank = balance_rank(rank, self.rank_bits)
         return rank << k | y, self.max_prefix

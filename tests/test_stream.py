@@ -1,5 +1,6 @@
 """Framing, self-check and CLI tests."""
 
+import hashlib
 import math
 import os
 import random
@@ -346,6 +347,67 @@ def test_block_kernel_matches_per_packet_path(scheme, k, pad_mode):
         assert frame_bytes(data, k, scheme, pad_mode) == stream
     assert frame_bytes(data, k, scheme, pad_mode, len(bits)) == stream
     assert deframe_bytes(stream) == (data, len(bits))
+
+
+# sha256 of frame_bytes(random.Random(16).randbytes(4097), k, scheme, pad_mode=True),
+# computed with the two-walk ranked encoder (balancing index search, then the
+# listing of y); k = 6, 18, 66 and 1002 end each block in a partial byte
+PINNED_STREAM_SHA256 = {
+    Scheme.KNUTH: {
+        6: "7b26d528b7ebe2f3cd78319b7e307d4a30ef31b73aa2e17e3b5ad689c868477d",
+        16: "9815f3c8e814a23c7bdac971960a4082da3d61aadf81bf29d7754af6699701ad",
+        18: "5f0418b08a0ab1dc861c95892a1888d625de272171fd26bdd5b082277e58a0d2",
+        64: "f14f18d8fdd086b59e742b0574f53d36e798906dca415ba861ff7ab74ccb10ed",
+        66: "f096d7d81801236d794d5671b798f3fd5e44aac7bac7a39547ca7f07e03e84af",
+        1002: "60035f4ccd407e240f30921d60af3417774cb059cea8b5eb74b281831f8d5d24",
+        1024: "08dac597ad2572e4bc760c8738a88943531d85c24c7f1bf823cfb81f11eaf716",
+    },
+    Scheme.BASELINE_FL: {
+        6: "202e33ba79e3a94c55fef477126b5a30c85d0b883cce0397497ba91874f521b8",
+        16: "7baf8107f4b329f67e6f122eed4a3ea7f702bf6fdfbe23db76ebda07ce7a8e02",
+        18: "3b3ab3fb6d023cab3710d47c6e85815a5cd6a664368c9bdc23c2a3a4d09e17ef",
+        64: "527331c836dfe9a1f65d42c23fa94e643fe4fff53228a30501b5ed5c6558d762",
+        66: "1eadb4d58fdf101e18a2f29c29d4dedaa4f4496ff0ef96e9b099116092c6efed",
+        1002: "26b338d6b51adc0656cb4138049c580ca6bd2ce04f38bf277cad68de50abe1b4",
+        1024: "c0447ddc74d3ed62f8fe5fe4ad809ccd0def9963cb27601bf068cebd77bde189",
+    },
+    Scheme.PROPOSED_FL: {
+        6: "cf21c99707898e317aae136b6b8a41bd1a7a7a16da3fb552d944f8740916c4d4",
+        16: "c93915a2872385aef7a4f317ea5aedc7f5b0fabd96ab06f0c7b1e771f94f5e46",
+        18: "bec8ad4f5b942733f44a995e20dbcd55ca3c7c0c385f3b7a47a215c7f64c2890",
+        64: "c9c662bfafb11fa23bd08d4309ffa5f88c29181332f7e385b02d59eec30e773c",
+        66: "b54bf37afd3301d291ceff8afdd694b14384493440a3ac97a9760bfea1d80176",
+        1002: "48e387360f10c5766750aad0c5e869c53574ec68b4196d5731681bc21a7dc966",
+        1024: "a46bc9a075c1ac1b749d8efe927352ef043456b781e3e26af104a093c83a71e4",
+    },
+    Scheme.PROPOSED_VL: {
+        6: "21b27c402c4389c6eb1bd7a8cb082303664200843de7c41cd56e78aa0d738899",
+        16: "63d5153d65ac3de518b38f7e7532e177ed4cdbf74b51af6c48eb55eac8d4fd25",
+        18: "e8299c8f2c328d67493a77b624d9f987b629fe22ba9a8c4c759d029189a11968",
+        64: "7edf0756ff6dfdc9b134e62beb1b40c4b4217fd058b471b4331cb8a602ac06e2",
+        66: "76c91f305732fc513ca48725726f949f25484acd022d2d1b8c5e8a47009ce2c8",
+        1002: "0de44df3fda1e989c4e15176756b753036c32c9f1981ea9baf988e56f00ecd70",
+        1024: "28361249d5b70c9101587076dae02d761e4a15154fe512d367d365f10c5c4ae9",
+    },
+    Scheme.PROPOSED_FULL: {
+        6: "5120f6b478f1afd0ece2f452d822a591a1036b812b5becc46a635e7a06f014c5",
+        16: "26342e26dbf67287d38bc995838cefec10cb2aad3a4487c41014d8ff5246227e",
+        18: "e7d35f624804bbcf3c3abf8fcdf1d2f3b91f3d0a1b6c7fa6358fefa33e4796f8",
+        64: "874c3fe5d75ecff14fc5fb84517f0e8c95153cc0764e2ca39a57d53a4611f4b6",
+        66: "235e2c54cdccc95a2dc122070022bc4b231be94b9fcd2d09ba1d53999316192e",
+        1002: "e30aaae87b017aeb29b65f803a4dbef075f5d929eddda77723a9ddcd8f13a9a6",
+        1024: "e37b97065a8f4dbfe60199ceb366cb871420c8a6f5b8726818937c20d79d4839",
+    },
+}
+
+
+@pytest.mark.parametrize("k", [6, 16, 18, 64, 66, 1002, 1024])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_pinned_stream_digests(scheme, k):
+    # every k here is >= 4, so PROPOSED_FL and PROPOSED_FULL code them all
+    data = random.Random(16).randbytes(4097)
+    stream = frame_bytes(data, k, scheme, pad_mode=True)
+    assert hashlib.sha256(stream).hexdigest() == PINNED_STREAM_SHA256[scheme][k]
 
 
 def test_frame_bytes_rejects_a_bit_count_its_bytes_do_not_hold():
