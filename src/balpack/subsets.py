@@ -132,7 +132,7 @@ def subset_size_rds(y: str) -> int:
     """Compressed-subset size of ``y``: the span of its running sums.
 
     Each new level the sums reach is one member, so the size is the length
-    of :func:`member_order`, the pass the codec makes.  Equality with the
+    of :func:`member_order`, the pass the decoder makes.  Equality with the
     enumerated listing is asserted exhaustively in the test suite.
     """
     check_word(y)

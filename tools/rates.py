@@ -1,6 +1,6 @@
 """In-process encode and decode rates of every scheme on a seeded 64 KiB file.
 
-Usage: python tools/rates.py [--runs N] [--k 16,64,256,1024] [--seed S]
+Usage: python tools/rates.py [--runs N]
 
 Times :func:`balpack.stream.frame_bytes` and :func:`balpack.stream.deframe_bytes`
 on the same bytes, prints the median of ``--runs`` runs in Mbit/s of input
@@ -23,17 +23,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from balpack.cli import SCHEME_NAMES  # noqa: E402
 from balpack.stream import deframe_bytes, frame_bytes  # noqa: E402
 
+BLOCK_LENGTHS = (16, 64, 256, 1024)
+SEED = 64
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=5, help="timed runs per rate (median)")
-    parser.add_argument("--k", default="16,64,256,1024", help="comma-separated block lengths")
-    parser.add_argument("--seed", type=int, default=64, help="seed of the 64 KiB input")
     args = parser.parse_args(argv)
-    data = random.Random(args.seed).randbytes(64 * 1024)
+    data = random.Random(SEED).randbytes(64 * 1024)
     mbit = 8 * len(data) / 1e6
     print("scheme k encode_mbps decode_mbps")
-    for k in (int(k) for k in args.k.split(",")):
+    for k in BLOCK_LENGTHS:
         for name, scheme in SCHEME_NAMES.items():
             enc, dec = [], []
             for _ in range(args.runs):
