@@ -2,13 +2,15 @@
 
 Each nibble is balanced the Knuth way: invert the first e bits, then append
 a 2-bit suffix naming e.  Choosing the smallest e in 1..4 that makes the
-six bits weight-3 reproduces the sixteen-codeword table exactly, so neither
-side stores the table.  Full balancing (``Scheme.PROPOSED_FULL`` in
-:mod:`balpack.subsets`) is the PROPOSED_FL packet with its rank passed
-through :func:`balance_rank`, which makes the whole packet (prefix plus
-payload) balanced at six output bits per four prefix bits;
-:func:`unbalance_rank` is the decoder's inverse step.  The rule works on
-integers; :func:`encode_nibble` is its one string form, for the self-check.
+six bits weight-3 reproduces the sixteen-codeword table exactly, so the
+table is written nowhere: :func:`_sextet` is the rule, and the codec only
+indexes its sixteen outputs and their inverse, computed at import.  Full
+balancing (``Scheme.PROPOSED_FULL`` in :mod:`balpack.subsets`) is the
+PROPOSED_FL packet with its rank passed through :func:`balance_rank`, which
+makes the whole packet (prefix plus payload) balanced at six output bits per
+four prefix bits; :func:`unbalance_rank` is the decoder's inverse step.  The
+rule works on integers; :func:`encode_nibble` is its one string form, for the
+self-check.
 """
 
 from __future__ import annotations
@@ -31,18 +33,10 @@ def _sextet(nibble: int) -> int:
     raise AssertionError(f"no balancing index for nibble {nibble:04b}")
 
 
-def _nibble(sextet: int) -> int:
-    """Invert :func:`_sextet` on a value 0..63; rejects the 48 non-codewords."""
-    if sextet.bit_count() != 3:
-        raise InvalidSextetError(f"'{sextet:06b}' does not have weight 3")
-    body = sextet >> 2
-    # e >= 1 always inverts the first bit, so the original start bit is
-    # the complement of the body's first bit.
-    e = _SUFFIXES[1 - (body >> 3)].index(sextet & 0b11) + 1
-    nibble = body ^ (0xF0 >> e & 0xF)
-    if _sextet(nibble) != sextet:
-        raise InvalidSextetError(f"'{sextet:06b}' is not a 4B6B codeword")
-    return nibble
+#: The rule's sixteen outputs, by nibble, and their inverse over all 64 sextet
+#: values, None marking the 48 non-codewords; the codec only indexes these.
+_SEXTETS = tuple(_sextet(nibble) for nibble in range(16))
+_NIBBLES = tuple(_SEXTETS.index(s) if s in _SEXTETS else None for s in range(64))
 
 
 def balance_rank(rank: int, r: int) -> int:
@@ -50,7 +44,7 @@ def balance_rank(rank: int, r: int) -> int:
     n = (r + 3) // 4
     padded, out = rank << (4 * n - r), 0
     for shift in range(4 * n - 4, -4, -4):
-        out = out << 6 | _sextet(padded >> shift & 0xF)
+        out = out << 6 | _SEXTETS[padded >> shift & 0xF]
     return out
 
 
@@ -59,7 +53,13 @@ def unbalance_rank(value: int, r: int) -> int:
     n = (r + 3) // 4
     padded, fill = 0, 4 * n - r
     for shift in range(6 * n - 6, -6, -6):
-        padded = padded << 4 | _nibble(value >> shift & 0x3F)
+        sextet = value >> shift & 0x3F
+        nibble = _NIBBLES[sextet]
+        if nibble is None:
+            raise InvalidSextetError(f"'{sextet:06b}' does not have weight 3"
+                                     if sextet.bit_count() != 3 else
+                                     f"'{sextet:06b}' is not a 4B6B codeword")
+        padded = padded << 4 | nibble
     if padded & ((1 << fill) - 1):
         raise CorruptPacketError(f"prefix padding bits are not zero: {padded:0{4 * n}b}")
     return padded >> fill

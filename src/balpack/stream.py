@@ -154,6 +154,9 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
     codec = BlockCodec(k, header.scheme)
     decode, max_bits = codec.decode, k + codec.max_prefix  # the longest packet
     max_varint = len(encode_varint(max_bits))
+    # per packet bit count: body bytes, slack bits, their mask, prefix bits
+    shapes = {n: ((n + 7) // 8, -n % 8, (1 << -n % 8) - 1, n - k)
+              for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
     frames, end, offset = -(-payload // k), len(data), _HEADER.size
     out = bytearray()
@@ -168,17 +171,17 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
                     offset += 1
                 else:
                     bit_length, offset = decode_varint(data, offset, max_varint)
-                if not k <= bit_length <= max_bits:
+                shape = shapes.get(bit_length)
+                if shape is None:
                     raise StreamCorruptError(f"frame of {bit_length} bits outside {k}..{max_bits}")
-                nbytes = (bit_length + 7) // 8
+                nbytes, slack, low, p = shape
                 if offset + nbytes > end:
                     raise StreamCorruptError(f"packet body truncated ({nbytes} bytes needed)")
                 value = int.from_bytes(data[offset : offset + nbytes], "big")
                 offset += nbytes
-                slack = 8 * nbytes - bit_length
-                if value & ((1 << slack) - 1):
+                if value & low:
                     raise StreamCorruptError("slack bits after the packet are not zero")
-                x = decode(value >> slack, bit_length - k)
+                x = decode(value >> slack, p)
             except (BalpackError, ValueError) as exc:
                 raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
             group = group << k | x

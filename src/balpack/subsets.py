@@ -15,12 +15,15 @@ the balanced one, so lambda is the span of y's sums.  Of two members, the
 one with the smaller j sorts first exactly when y's bit j + 1 is 0, so the
 compressed listing is the first visits followed by a 0, ascending, then
 those followed by a 1, descending (:func:`member_order`).  The rank is e's
-position in y's listing; the balanced member ranks lambda, last.  Decode
-walks y once and takes the entry its rank names.  Encode walks x once
-(:func:`_encode_rank`): up to e, y's first visits are x's, so it counts e's
-rank there and reads lambda off the sums after e, listing nothing.  No walk
-keeps a cache.  The explicit O(k^2) listings of :func:`subset_members` are
-the specification for tests and self-checks.
+position in y's listing; the balanced member ranks lambda, last.  Encode
+walks x once (:func:`_encode_rank`): up to e, y's first visits are x's, so
+it counts e's rank there and reads lambda off the sums after e.  Decode
+walks y once (:func:`_decode_rank`): rank r names the r-th first visit
+followed by a 0, which ends the walk, or, past those, the (lambda - 1 - r)-th
+followed by a 1.  Neither lists the subset, and no walk keeps a cache.
+:func:`member_order` is the listing both index, and with the explicit
+O(k^2) listings of :func:`subset_members` the specification for tests and
+self-checks.
 
 Each walk goes a byte at a time.  A first visit is a record of its byte:
 its running sum, counted from the byte's start, goes above or below every
@@ -132,8 +135,8 @@ def subset_size_rds(y: str) -> int:
     """Compressed-subset size of ``y``: the span of its running sums.
 
     Each new level the sums reach is one member, so the size is the length
-    of :func:`member_order`, the pass the decoder makes.  Equality with the
-    enumerated listing is asserted exhaustively in the test suite.
+    of :func:`member_order`, the listing the codec's walks index.  Equality
+    with the enumerated listing is asserted exhaustively in the test suite.
     """
     check_word(y)
     if not is_balanced(y):
@@ -235,13 +238,64 @@ def _encode_rank(v: int, k: int, t: int, need_lam: bool) -> tuple[int, int, int 
     return e, c + lam - (hi - lo) if up else c, lam
 
 
+def _decode_rank(y: int, k: int, rank: int, need_lam: bool) -> tuple[int | None, int | None]:
+    """Inversion length e of member ``rank`` of the balanced ``k``-bit block ``y``, and lambda.
+
+    One walk over y, the decode twin of :func:`_encode_rank`: e is the rank-th
+    first visit that y follows by a 0, found with no lambda and no list, or, once
+    the walk ends, the (lambda - 1 - rank)-th one that y follows by a 1.  Lambda
+    is None if the walk stopped early and it is not needed; e is None if rank >= lambda.
+    """
+    spans = _BYTE_SPAN or _build_byte_span()
+    # past bit k, y's sums go ±1, 0, ... (±1 as y's first bit): no new level, and no
+    # record at bit k, so a record's next bit is never past the last byte
+    pad = -k % 8
+    data = (y << pad | 0x55 << (y >> k - 1) >> 8 - pad).to_bytes((k + 7) // 8, "big")
+    run = hi = lo = z = 0
+    ones = []
+    for n, b in enumerate(data):
+        net, high, low, records = spans[b]
+        if run + high > hi or run + low < lo:  # the byte reaches a new level
+            for i, d in records:
+                level = run + d
+                if level > hi:
+                    hi = level
+                elif level < lo:
+                    lo = level
+                else:
+                    continue
+                if (b >> 7 - i if i < 8 else data[n + 1] >> 7) & 1:  # y's bit 8n + i + 1
+                    ones.append(8 * n + i)
+                elif z < rank:
+                    z += 1
+                elif not need_lam:
+                    return 8 * n + i, None
+                else:  # the rest of e's byte: its high with a 0 fill, its low with 1s
+                    rest = b << i & 0xFF
+                    if level + spans[rest][1] > hi:
+                        hi = level + spans[rest][1]
+                    if level + spans[rest | (1 << i) - 1][2] < lo:
+                        lo = level + spans[rest | (1 << i) - 1][2]
+                    for b in data[n + 1 :]:
+                        run += net
+                        net, high, low, _ = spans[b]
+                        if run + high > hi:
+                            hi = run + high
+                        if run + low < lo:
+                            lo = run + low
+                    return 8 * n + i, hi - lo
+        run += net
+    lam = hi - lo
+    return ones[lam - 1 - rank] if rank < lam else None, lam
+
+
 def member_order(y: int, k: int) -> list[int]:
     """Inversion lengths of the compressed subset of ``y``, in listing order.
 
     ``y`` is a balanced ``k``-bit block; inverting its first
-    ``member_order(y, k)[r]`` bits gives member ``r``.  Decode makes this
-    pass; the balanced member, BASELINE_FL's last, inverts up to y's first
-    return to 0.
+    ``member_order(y, k)[r]`` bits gives member ``r``.  The specification
+    :func:`_decode_rank` indexes without listing; the balanced member,
+    BASELINE_FL's last, inverts up to y's first return to 0.
     """
     spans = _BYTE_SPAN or _build_byte_span()
     run = hi = lo = done = 0
@@ -334,9 +388,9 @@ class BlockCodec:
             e, rank, lam = _encode_rank(xi, k, t, self.vl)
         elif self.prefix_less:
             return xi, 0
-        else:  # BASELINE_FL lists a balanced x last
+        else:  # BASELINE_FL lists a balanced x last, at rank lambda
             e = _span_reach(xi, k, 0)
-            rank = len(member_order(xi ^ (((1 << e) - 1) << (k - e)), k))
+            rank = _decode_rank(xi ^ (((1 << e) - 1) << (k - e)), k, self.half, False)[1]
         y = xi ^ (((1 << e) - 1) << (k - e))
         if self.vl:
             return rank << k | y, _vl_prefix(lam)
@@ -359,28 +413,24 @@ class BlockCodec:
         if not p:
             return y
         if self.knuth:  # the inversion index e = rank + 1 is any of 1..k
-            size = k
-        else:
-            order = member_order(y, k)
-            lam = len(order)
-            if self.vl and p != _vl_prefix(lam):
-                raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
-            # prefix-less schemes drop the balanced member, ranked last
-            size = lam if self.prefix_less else lam + 1
-        if rank >= size:
-            raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
-        if self.knuth:
             e = rank + 1
-        elif rank < lam:
-            e = order[rank]
-        else:  # BASELINE_FL's balanced member
+            if e > k:
+                raise CorruptPacketError(f"rank {rank} outside subset of size {k}")
+            x = y ^ (((1 << e) - 1) << (k - e))
+            # the ranked walk yields first balancing indexes only; Knuth's prefix does not
+            if level_index(x, k, x.bit_count() - half) != e:
+                raise CorruptPacketError(f"{e} is not the first balancing index of "
+                                         f"{format(x, self.fmt)!r}")
+            return x
+        e, lam = _decode_rank(y, k, rank, self.vl)
+        if self.vl and p != _vl_prefix(lam):
+            raise CorruptPacketError(f"{p}-bit prefix inconsistent with subset size {lam}")
+        if e is None:  # past the members: BASELINE_FL's balanced one, ranked last, or none
+            size = lam if self.prefix_less else lam + 1
+            if rank >= size:
+                raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
             e = _span_reach(y, k, 0)
-        x = y ^ (((1 << e) - 1) << (k - e))
-        # the ranked pass yields first balancing indexes only; Knuth's prefix does not
-        if self.knuth and level_index(x, k, x.bit_count() - half) != e:
-            raise CorruptPacketError(f"{e} is not the first balancing index of "
-                                     f"{format(x, self.fmt)!r}")
-        return x
+        return y ^ (((1 << e) - 1) << (k - e))
 
 
 def encode_packet(x: str, scheme: Scheme) -> Packet:

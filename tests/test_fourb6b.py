@@ -1,9 +1,11 @@
 """4B6B code tests: the sixteen-codeword table, invalid sextets, full balancing."""
 
 import itertools
+import random
 
 import pytest
 
+from balpack import fourb6b
 from balpack.errors import BalpackError, CorruptPacketError, InvalidSextetError
 from balpack.fourb6b import balance_rank, encode_nibble, unbalance_rank
 from balpack.subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
@@ -62,6 +64,28 @@ def test_decode_sextet_rejects_every_non_codeword():
         else:
             with pytest.raises(InvalidSextetError):
                 unbalance_rank(v, 4)
+
+
+def test_lookups_are_the_rule_and_its_inverse():
+    # the codec indexes the rule's sixteen outputs and a 64-entry inverse
+    assert fourb6b._SEXTETS == tuple(fourb6b._sextet(n) for n in range(16))
+    assert fourb6b._SEXTETS == tuple(int(SEXTET_TABLE[format(n, "04b")], 2) for n in range(16))
+    assert len(fourb6b._NIBBLES) == 64
+    for v, nibble in enumerate(fourb6b._NIBBLES):
+        if v in fourb6b._SEXTETS:
+            assert fourb6b._SEXTETS[nibble] == v
+        else:
+            assert nibble is None
+    assert fourb6b._NIBBLES.count(None) == 48
+
+
+def test_non_codeword_messages():
+    for v in range(64):
+        if v in fourb6b._SEXTETS:
+            continue
+        reason = "does not have weight 3" if v.bit_count() != 3 else "is not a 4B6B codeword"
+        with pytest.raises(InvalidSextetError, match=f"^'{v:06b}' {reason}$"):
+            unbalance_rank(v, 4)
 
 
 def test_nibble_length_validation():
@@ -151,6 +175,7 @@ def outcome(fn, *args):
 
 
 TABLE_INVERSE = {int(s, 2): int(n, 2) for n, s in SEXTET_TABLE.items()}
+CODEWORDS = sorted(TABLE_INVERSE)
 
 
 def table_unbalance(value, r):
@@ -167,15 +192,22 @@ def table_unbalance(value, r):
     return padded >> (4 * n - r)
 
 
-@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("r", range(1, 13))
 def test_int_rank_steps_match_table_and_string_path(r):
-    # r = 4 covers all 16 nibbles and all 64 sextets; other r add the zero pad
+    # r = 4 covers all 16 nibbles and all 64 sextets; other r add the zero pad;
+    # from r = 9 (k = 1024's width) on, ranks and values are sampled
     n, width = (r + 3) // 4, 6 * ((r + 3) // 4)
-    for rank in range(2**r):
+    rng = random.Random(r)
+    ranks = range(2**r) if r <= 8 else rng.sample(range(2**r), 256)
+    # a sample of all values is nearly all non-codewords, so add values made of codewords
+    values = range(2**width) if r <= 8 else [
+        *rng.sample(range(2**width), 4096),
+        *(sum(rng.choice(CODEWORDS) << 6 * i for i in range(n)) for _ in range(4096))]
+    for rank in ranks:
         padded = format(rank << (4 * n - r), f"0{4 * n}b")
         nibbles = [padded[i : i + 4] for i in range(0, 4 * n, 4)]
         expect = "".join(SEXTET_TABLE[nibble] for nibble in nibbles)
         assert format(balance_rank(rank, r), f"0{width}b") == expect
         assert "".join(map(encode_nibble, nibbles)) == expect
-    for value in range(2**width):
+    for value in values:
         assert outcome(unbalance_rank, value, r) == table_unbalance(value, r)

@@ -310,6 +310,11 @@ def test_byte_walk_matches_listing_oracle(data):
     assert order == string_walk(word)
     members = tuple(format(y ^ (((1 << j) - 1) << (k - j)), f"0{k}b") for j in order)
     assert members == subset_members(word, includes_balanced=False).members
+    # the decode walk names each listing entry, and none past the end
+    for rank in range(len(order) + 2):
+        e = order[rank] if rank < len(order) else None
+        assert subsets._decode_rank(y, k, rank, True) == (e, len(order))
+        assert subsets._decode_rank(y, k, rank, False)[0] == e
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10, 12, 14])
@@ -328,6 +333,23 @@ def test_unrank_matches_listing_oracle(k):
                 else:
                     with pytest.raises(CorruptPacketError, match="outside subset"):
                         decode_packet(packet, k, scheme)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14, 16])
+def test_decode_rank_walk_matches_listing_exhaustive(k):
+    # one walk over y gives member rank's e and lambda; below k = 8 and at
+    # 10, 12 and 14 y ends in a partial byte, whose fill must add no member
+    for y in range(1 << k):
+        if y.bit_count() != k // 2:
+            continue
+        order = member_order(y, k)
+        lam = len(order)
+        zeros = sum(not y >> k - 1 - j & 1 for j in order)  # members y follows by a 0
+        for rank in range(lam + 2):
+            e = order[rank] if rank < lam else None
+            assert subsets._decode_rank(y, k, rank, True) == (e, lam)
+            # lambda is read only when the walk gets past the members followed by a 0
+            assert subsets._decode_rank(y, k, rank, False) == (e, lam if rank >= zeros else None)
 
 
 def two_walk_encode(codec, scheme, xi):
@@ -435,6 +457,7 @@ def test_codec_path_never_lists(monkeypatch, scheme):
         raise AssertionError("the codec built an explicit subset listing")
 
     monkeypatch.setattr(subsets, "_members", listing_forbidden)
+    monkeypatch.setattr(subsets, "member_order", listing_forbidden)
     k = 1024
     rng = random.Random(1024)
     blocks = ["01" * (k // 2), "1" * k, "0" * k]
