@@ -174,12 +174,12 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
                 shape = shapes.get(bit_length)
                 if shape is None:
                     raise StreamCorruptError(f"frame of {bit_length} bits outside {k}..{max_bits}")
-                nbytes, slack, low, p = shape
+                nbytes, slack, slack_mask, p = shape
                 if offset + nbytes > end:
                     raise StreamCorruptError(f"packet body truncated ({nbytes} bytes needed)")
                 value = int.from_bytes(data[offset : offset + nbytes], "big")
                 offset += nbytes
-                if value & low:
+                if value & slack_mask:
                     raise StreamCorruptError("slack bits after the packet are not zero")
                 x = decode(value >> slack, p)
             except (BalpackError, ValueError) as exc:

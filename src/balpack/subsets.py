@@ -388,7 +388,7 @@ class BlockCodec:
             e, rank, lam = _encode_rank(xi, k, t, self.vl)
         elif self.prefix_less:
             return xi, 0
-        else:  # BASELINE_FL lists a balanced x last, at rank lambda
+        else:  # BASELINE_FL lists a balanced x last, at rank lambda; rank k/2 is past every member
             e = _span_reach(xi, k, 0)
             rank = _decode_rank(xi ^ (((1 << e) - 1) << (k - e)), k, self.half, False)[1]
         y = xi ^ (((1 << e) - 1) << (k - e))
