@@ -30,7 +30,9 @@ its running sum, counted from the byte's start, goes above or below every
 earlier one.  One lazily built 256-entry table gives each byte value its
 net sum, its highest and lowest running sums, and those records, so a byte
 whose sums stay within the levels already reached costs one addition, and
-any other byte is read off its records, not bit by bit.
+any other byte is read off its records, not bit by bit.  The same table
+serves the one level search, :func:`level_index`: Knuth's first balancing
+index, and the first return to 0 of a balanced block.
 
 Schemes
 -------
@@ -57,7 +59,7 @@ from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
-from .words import check_word, is_balanced, level_index
+from .words import check_word, is_balanced
 
 
 class Scheme(enum.Enum):
@@ -167,16 +169,17 @@ def _build_byte_span() -> list[tuple[int, int, int, tuple[tuple[int, int], ...]]
     return spans
 
 
-def _span_reach(v: int, k: int, level: int) -> int:
-    """:func:`balpack.words.level_index` for a ``level`` the ``k``-bit word ``v`` reaches.
+def level_index(v: int, k: int, level: int) -> int:
+    """Smallest j >= 1 with d_j = ``level`` in the ``k``-bit word of value ``v``.
 
-    Read off the span table, so ranked processes never build the level rows.
-    A level other than 0 is first reached at a record of its byte; the first
-    return to 0 is the first reach, after bit 1, of the level bit 1 left.
+    Raises ``ValueError`` if no j <= k exists.  A level first reached in a
+    byte is reached at one of its records, and a byte is read only when the
+    level lies within its sums; a first reach in the zero fill of a partial
+    last byte is no index.  With bit 1 flipped every later sum moves by
+    2 - 4 * bit 1, so the first return to 0 is the first reach of that level.
     """
     if not level:
-        top = v >> k - 1
-        return 1 + _span_reach(v ^ top << k - 1, k - 1, 1 - 2 * top)
+        v, level = v ^ 1 << k - 1, 2 - 4 * (v >> k - 1)
     spans = _BYTE_SPAN or _build_byte_span()
     done = 0
     for b in (v << -k % 8).to_bytes((k + 7) // 8, "big"):
@@ -184,10 +187,13 @@ def _span_reach(v: int, k: int, level: int) -> int:
         if low <= level <= high:
             for i, d in records:
                 if d == level:
-                    return done + i
+                    break
+            if done + i > k:
+                break
+            return done + i
         level -= net
         done += 8
-    raise ValueError(f"the running sums of {format(v, f'0{k}b')!r} never reach the level")
+    raise ValueError(f"the running sums of the {k}-bit word never reach the level")
 
 
 def _encode_rank(v: int, k: int, t: int, need_lam: bool) -> tuple[int, int, int | None]:
@@ -199,14 +205,14 @@ def _encode_rank(v: int, k: int, t: int, need_lam: bool) -> tuple[int, int, int 
     span up to e.  Lambda (y's sums after e: v's less 2t) is None unless needed.
     """
     spans = _BYTE_SPAN or _build_byte_span()
-    # past bit k, y's sums go 0, ±1, 0, ... (±1 as y's first bit), then a 0 byte for w's window
+    # past bit k, y's sums go 0, ±1, 0, ... (±1 as y's first bit); e < k, so a record
+    # up to e has its next bit in the data
     pad = -k % 8
-    data = ((v << pad | 0xAA >> (v >> k - 1) + 8 - pad) << 8).to_bytes((k + 15) // 8, "big")
+    data = (v << pad | 0xAA >> (v >> k - 1) + 8 - pad).to_bytes((k + 7) // 8, "big")
     run = hi = lo = c = 0
     for n, b in enumerate(data):
         net, high, low, records = spans[b]
         if run + high > hi or run + low < lo:  # the byte reaches a new level
-            w = b << 8 | data[n + 1]
             for i, d in records:
                 level = run + d
                 if level > hi:
@@ -217,16 +223,16 @@ def _encode_rank(v: int, k: int, t: int, need_lam: bool) -> tuple[int, int, int 
                     continue
                 if level == t:
                     break
-                c += w >> 15 - i & 1
+                c += (b >> 7 - i if i < 8 else data[n + 1] >> 7) & 1  # v's bit 8n + i + 1
             if lo <= t <= hi:  # t lies beyond every level until e reaches it
                 break
         run += net
-    e, up = 8 * n + i, w >> 15 - i & 1  # up: v's bit e + 1
+    e, up = 8 * n + i, (b >> 7 - i if i < 8 else data[n + 1] >> 7) & 1  # up: v's bit e + 1
     if not (up or need_lam):
         return e, c, None
     rest = b << i & 0xFF  # v's sums after e: its high with a 0 fill, its low with 1s
     top, bot = t + spans[rest][1], t + spans[rest | (1 << i) - 1][2]
-    for b in data[n + 1 : -1]:
+    for b in data[n + 1 :]:
         run += net
         net, high, low, _ = spans[b]
         if run + high > top:
@@ -389,7 +395,7 @@ class BlockCodec:
         elif self.prefix_less:
             return xi, 0
         else:  # BASELINE_FL lists a balanced x last, at rank lambda; rank k/2 is past every member
-            e = _span_reach(xi, k, 0)
+            e = level_index(xi, k, 0)
             rank = _decode_rank(xi ^ (((1 << e) - 1) << (k - e)), k, self.half, False)[1]
         y = xi ^ (((1 << e) - 1) << (k - e))
         if self.vl:
@@ -429,7 +435,7 @@ class BlockCodec:
             size = lam if self.prefix_less else lam + 1
             if rank >= size:
                 raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
-            e = _span_reach(y, k, 0)
+            e = level_index(y, k, 0)
         return y ^ (((1 << e) - 1) << (k - e))
 
 

@@ -6,9 +6,9 @@ quantities use the bipolar convention 0 -> -1, 1 -> +1, so a word is
 balanced exactly when its disparity is zero.  Index arguments count bits
 from 1; index 0 is legal only where it means "invert nothing".
 
-The one exception is :func:`level_index`, the codec's inner search, which
-takes a block as its integer value ``v`` and its bit count ``k`` (the first
-bit is the most significant) and walks it a byte at a time.
+The codec walks blocks as integers, a byte at a time, in
+:mod:`balpack.subsets`; :func:`first_balancing_index` here is the per-bit
+specification its level search is tested against.
 """
 
 from __future__ import annotations
@@ -61,46 +61,9 @@ def first_balancing_index(w: str) -> int:
     k = len(w)
     if k % 2:
         raise ValueError(f"no balancing index exists for odd length {k}")
-    v = int(w, 2)
-    return level_index(v, k, v.bit_count() - k // 2)
-
-
-#: Per byte value: its net bipolar sum, and per level -8..8 the first bit
-#: (1..8, 0 for none) at which its running sum reaches that level, stored at
-#: the level as a Python index, so row[-3] is level -3.  Built on first use.
-_BYTE_WALK: tuple[list[int], list[bytes]] | None = None
-
-
-def _build_byte_walk() -> tuple[list[int], list[bytes]]:
-    global _BYTE_WALK
-    nets, rows = [0], [bytearray(17)]  # the empty prefix
-    for j in range(1, 9):  # extend every j - 1 bit prefix by a 0, then by a 1
-        grown_nets, grown_rows = [], []
-        for run, row in zip(nets, rows):
-            for level in (run - 1, run + 1):
-                grown = row[:]
-                grown[level] = grown[level] or j
-                grown_nets.append(level)
-                grown_rows.append(grown)
-        nets, rows = grown_nets, grown_rows
-    _BYTE_WALK = nets, [bytes(row) for row in rows]
-    return _BYTE_WALK
-
-
-def level_index(v: int, k: int, level: int) -> int:
-    """Smallest j >= 1 with d_j = ``level`` in the ``k``-bit word of value ``v``.
-
-    Raises ``ValueError`` if no j <= k exists.  The walk steps one byte at a
-    time and looks a byte up only while the level is within its reach; the
-    zero fill of a partial last byte can never yield an index past ``k``.
-    """
-    nets, rows = _BYTE_WALK or _build_byte_walk()
-    todo, done = level, 0  # the level less the sum so far; bits walked
-    for b in (v << (-k % 8)).to_bytes((k + 7) // 8, "big"):
-        if -9 < todo < 9 and (j := rows[b][todo]):
-            if done + j > k:
-                break
-            return done + j
-        todo -= nets[b]
-        done += 8
-    raise ValueError(f"the running sums of {format(v, f'0{k}b')!r} never reach {level}")
+    run, half = 0, w.count("1") - k // 2
+    for j, c in enumerate(w[:-1], 1):
+        run += 1 if c == "1" else -1
+        if run == half:
+            return j
+    return k  # the sums reach half by j = k at the latest

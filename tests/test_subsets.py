@@ -17,12 +17,13 @@ from balpack.subsets import (
     ceil_log2,
     decode_packet,
     encode_packet,
+    level_index,
     member_order,
     prefix_length,
     subset_members,
     subset_size_rds,
 )
-from balpack.words import first_balancing_index, invert_prefix, is_balanced, level_index
+from balpack.words import first_balancing_index, invert_prefix, is_balanced
 
 RANKED_SCHEMES = [
     Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL, Scheme.PROPOSED_FULL
@@ -281,12 +282,13 @@ def test_byte_walk_matches_string_walk_exhaustive(k):
         assert member_order(int(y, 2), k) == string_walk(y)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8, 9, 10, 12])
-def test_span_reach_matches_level_index_exhaustive(k):
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
+def test_level_index_matches_per_bit_first_balancing_index_exhaustive(k):
+    # a balanced word's level is 0, its first return to 0, which the search
+    # finds as the first reach of 2 - 4 * bit 1 with bit 1 flipped
     for v in range(1 << k):
-        sums = itertools.accumulate(1 if v >> (k - j) & 1 else -1 for j in range(1, k + 1))
-        for level in set(sums):
-            assert subsets._span_reach(v, k, level) == level_index(v, k, level)
+        w = format(v, f"0{k}b")
+        assert level_index(v, k, w.count("1") - k // 2) == first_balancing_index(w), w
 
 
 @settings(deadline=None)
@@ -303,9 +305,9 @@ def test_byte_walk_matches_listing_oracle(data):
         sums = list(itertools.accumulate(1 if c == "1" else -1 for c in format(y, f"0{k}b")))
         m = sums.index(min(sums)) + 1
         y = (y << m | y >> (k - m)) & ((1 << k) - 1)
-    assert subsets._span_reach(x, k, x.bit_count() - k // 2) == e
-    assert subsets._span_reach(y, k, 0) == level_index(y, k, 0)
+    assert e == first_balancing_index(format(x, f"0{k}b"))
     word = format(y, f"0{k}b")
+    assert level_index(y, k, 0) == first_balancing_index(word)
     order = member_order(y, k)
     assert order == string_walk(word)
     members = tuple(format(y ^ (((1 << j) - 1) << (k - j)), f"0{k}b") for j in order)
@@ -381,7 +383,7 @@ def test_fused_rank_walk_matches_two_walks_exhaustive(k):
     for x in range(1 << k):
         t = x.bit_count() - k // 2
         if t:
-            e = subsets._span_reach(x, k, t)
+            e = level_index(x, k, t)
             order = member_order(x ^ (((1 << e) - 1) << (k - e)), k)
             assert subsets._encode_rank(x, k, t, True) == (e, order.index(e), len(order))
             # lambda is read only when x's bit e + 1 is 1 and the rank needs it

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balpack.subsets import level_index
 from balpack.words import (
     disparity,
     first_balancing_index,
     invert_prefix,
     is_balanced,
-    level_index,
 )
 
 words = st.text(alphabet="01", min_size=1, max_size=64)
