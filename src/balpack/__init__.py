@@ -22,18 +22,17 @@ _HOMES = {
         "BalpackError", "CorruptPacketError", "InputLengthError", "InvalidSextetError",
         "StreamCorruptError",
     ),
-    "fourb6b": ("encode_nibble",),
     "invariants": ("SelfCheckReport", "selfcheck"),
     "redundancy": (
         "RedundancyRow", "comparison_rows", "delta_lambda", "emit_tables", "h0_approx",
         "h0_exact", "h1_avg", "h1_prime", "h2_avg", "h_avg", "h_prime",
     ),
     "stream": ("StreamHeader", "deframe_bytes", "deframe_stream", "frame_bytes", "frame_stream"),
-    "subsets": (
-        "Packet", "Scheme", "SubsetListing", "decode_packet", "encode_packet",
-        "prefix_length", "subset_members", "subset_size_rds",
+    "subsets": ("Packet", "Scheme", "decode_packet", "encode_packet", "prefix_length"),
+    "words": (
+        "SubsetListing", "disparity", "encode_nibble", "first_balancing_index", "invert_prefix",
+        "is_balanced", "subset_members", "subset_size_rds",
     ),
-    "words": ("disparity", "first_balancing_index", "invert_prefix", "is_balanced"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

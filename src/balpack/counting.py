@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .subsets import subset_members
+from .words import subset_members
 
 #: Brute-force enumeration walks all C(k, k/2) balanced words; above this
 #: block length that stops being a desk-scale computation.

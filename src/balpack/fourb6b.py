@@ -9,14 +9,13 @@ balancing (``Scheme.PROPOSED_FULL`` in :mod:`balpack.subsets`) is the
 PROPOSED_FL packet with its rank passed through :func:`balance_rank`, which
 makes the whole packet (prefix plus payload) balanced at six output bits per
 four prefix bits; :func:`unbalance_rank` is the decoder's inverse step.  The
-rule works on integers; :func:`encode_nibble` is its one string form, for the
-self-check.
+rule works on integers; its one string form, for the self-check, is
+:func:`balpack.words.encode_nibble`.
 """
 
 from __future__ import annotations
 
 from .errors import CorruptPacketError, InvalidSextetError
-from .words import check_word
 
 #: Suffix naming the inversion index e = 1..4 (entry e - 1), by the nibble's
 #: first bit.  The two differ only at e in {3, 4}; each is a permutation,
@@ -64,10 +63,3 @@ def unbalance_rank(value: int, r: int) -> int:
         raise CorruptPacketError(f"prefix padding bits are not zero: {padded:0{4 * n}b}")
     return padded >> fill
 
-
-def encode_nibble(nibble: str) -> str:
-    """Map a 4-bit word to its weight-3 sextet."""
-    check_word(nibble)
-    if len(nibble) != 4:
-        raise ValueError(f"nibble must be 4 bits, got {len(nibble)}")
-    return format(_sextet(int(nibble, 2)), "06b")

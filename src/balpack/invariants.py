@@ -11,9 +11,8 @@ from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .counting import balanced_words, count_table, subset_size_count_bruteforce
-from .fourb6b import encode_nibble
-from .subsets import subset_members, subset_size_rds
-from .words import first_balancing_index, invert_prefix, is_balanced
+from .words import (encode_nibble, first_balancing_index, invert_prefix, is_balanced,
+                    subset_members, subset_size_rds)
 
 
 class CheckResult(NamedTuple):

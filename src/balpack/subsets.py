@@ -14,16 +14,15 @@ new maxima and minima give the unbalanced members, the first return to zero
 the balanced one, so lambda is the span of y's sums.  Of two members, the
 one with the smaller j sorts first exactly when y's bit j + 1 is 0, so the
 compressed listing is the first visits followed by a 0, ascending, then
-those followed by a 1, descending (:func:`member_order`).  The rank is e's
-position in y's listing; the balanced member ranks lambda, last.  Encode
+those followed by a 1, descending.  The rank is e's position in y's
+listing; the balanced member ranks lambda, last.  Encode
 walks x once (:func:`_encode_rank`): up to e, y's first visits are x's, so
 it counts e's rank there and reads lambda off the sums after e.  Decode
 walks y once (:func:`_decode_rank`): rank r names the r-th first visit
 followed by a 0, which ends the walk, or, past those, the (lambda - 1 - r)-th
-followed by a 1.  Neither lists the subset, and no walk keeps a cache.
-:func:`member_order` is the listing both index, and with the explicit
-O(k^2) listings of :func:`subset_members` the specification for tests and
-self-checks.
+followed by a 1.  Neither lists the subset, and no walk keeps a cache;
+their specification, the per-bit :func:`balpack.words.member_order` and the
+explicit O(k^2) listings, lives in :mod:`balpack.words`, off the codec path.
 
 Each walk goes a byte at a time.  A first visit is a record of its byte:
 its running sum, counted from the byte's start, goes above or below every
@@ -54,12 +53,21 @@ streams are checked once per stream, and :func:`encode_packet` /
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
-from .words import check_word, is_balanced
+
+
+def check_word(w: str, *, allow_empty: bool = False) -> str:
+    """Validate a bit literal and return it unchanged."""
+    if not isinstance(w, str):
+        raise ValueError(f"word must be a str of 0/1, got {type(w).__name__}")
+    if not w and not allow_empty:
+        raise ValueError("word must be non-empty")
+    if w.strip("01"):
+        raise ValueError(f"word contains non-binary symbols: {w!r}")
+    return w
 
 
 class Scheme(enum.Enum):
@@ -68,17 +76,6 @@ class Scheme(enum.Enum):
     PROPOSED_FL = 2
     PROPOSED_VL = 3
     PROPOSED_FULL = 4
-
-
-class SubsetListing(NamedTuple):
-    """Ordered candidate list for one balanced word; ``len`` counts its members, not its fields."""
-
-    y: str
-    members: tuple[str, ...]
-    includes_balanced: bool
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 class _PacketFields(NamedTuple):
@@ -96,54 +93,6 @@ class Packet(_PacketFields):
     @property
     def bit_length(self) -> int:
         return len(self.bits)
-
-
-@lru_cache(maxsize=65536)
-def _members(y: str) -> tuple[str, ...]:
-    k, v = len(y), int(y, 2)
-    unbalanced, balanced = [], None
-    for j in range(1, k + 1):
-        cand = v ^ (((1 << j) - 1) << (k - j))  # invert_prefix(y, j)
-        t = cand.bit_count() - k // 2
-        if level_index(cand, k, t) != j:  # j is not the first balancing index
-            continue
-        if not t:
-            # invariant: each subset holds exactly one balanced word
-            assert balanced is None, f"two balanced members under {y!r}"
-            balanced = cand
-        else:
-            unbalanced.append(cand)
-    assert balanced is not None, f"no balanced member under {y!r}"
-    unbalanced.sort()  # equal-length words sort as their values
-    return tuple(format(m, f"0{k}b") for m in (*unbalanced, balanced))
-
-
-def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
-    """All words whose first-index balancing lands on ``y``, in prefix order.
-
-    Unbalanced members come first in ascending lexicographic order; the
-    unique balanced member is appended last when ``includes_balanced`` is
-    set (the uncompressed baseline listing) and omitted otherwise.
-    """
-    check_word(y)
-    if not is_balanced(y):
-        raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
-    members = _members(y)  # one cached listing serves both forms
-    return SubsetListing(y=y, members=members if includes_balanced else members[:-1],
-                         includes_balanced=includes_balanced)
-
-
-def subset_size_rds(y: str) -> int:
-    """Compressed-subset size of ``y``: the span of its running sums.
-
-    Each new level the sums reach is one member, so the size is the length
-    of :func:`member_order`, the listing the codec's walks index.  Equality
-    with the enumerated listing is asserted exhaustively in the test suite.
-    """
-    check_word(y)
-    if not is_balanced(y):
-        raise ValueError(f"running-sum size rule needs a balanced word, got {y!r}")
-    return len(member_order(int(y, 2), len(y)))
 
 
 #: Per byte value: its net bipolar sum, the highest and lowest of its running
@@ -200,9 +149,9 @@ def _encode_rank(v: int, k: int, t: int, need_lam: bool) -> tuple[int, int, int 
     """First balancing index e of the ``k``-bit block ``v`` (t != 0), e's rank, and lambda.
 
     One walk over v lists nothing: before e, v's first visits are y's, with the
-    inverse next bit.  With c those that v follows by a 1, e ranks c in
-    :func:`member_order` if v's bit e + 1 is 0, else c + lambda - (hi - lo), v's
-    span up to e.  Lambda (y's sums after e: v's less 2t) is None unless needed.
+    inverse next bit.  With c those that v follows by a 1, e ranks c in y's
+    listing if v's bit e + 1 is 0, else c + lambda - (hi - lo), v's span up to
+    e.  Lambda (y's sums after e: v's less 2t) is None unless needed.
     """
     spans = _BYTE_SPAN or _build_byte_span()
     # past bit k, y's sums go 0, ±1, 0, ... (±1 as y's first bit); e < k, so a record
@@ -293,40 +242,6 @@ def _decode_rank(y: int, k: int, rank: int, need_lam: bool) -> tuple[int | None,
         run += net
     lam = hi - lo
     return ones[lam - 1 - rank] if rank < lam else None, lam
-
-
-def member_order(y: int, k: int) -> list[int]:
-    """Inversion lengths of the compressed subset of ``y``, in listing order.
-
-    ``y`` is a balanced ``k``-bit block; inverting its first
-    ``member_order(y, k)[r]`` bits gives member ``r``.  The specification
-    :func:`_decode_rank` indexes without listing; the balanced member,
-    BASELINE_FL's last, inverts up to y's first return to 0.
-    """
-    spans = _BYTE_SPAN or _build_byte_span()
-    run = hi = lo = done = 0
-    zeros: list[int] = []
-    ones: list[int] = []
-    v = y << -k % 8
-    last = k - 1 + -k % 8  # y's bit j + 1 is bit (last - j) of v
-    for b in v.to_bytes((k + 7) // 8, "big"):
-        net, high, low, records = spans[b]
-        if run + high > hi or run + low < lo:  # the byte reaches a new level
-            for i, d in records:
-                level = run + d
-                if level > hi:
-                    hi = level
-                elif level < lo:
-                    lo = level
-                else:
-                    continue
-                j = done + i
-                if j >= k:  # d_k = 0 is no new level; the zero fill after it is no member
-                    break
-                (ones if v >> last - j & 1 else zeros).append(j)
-        run += net
-        done += 8
-    return zeros + ones[::-1]
 
 
 def ceil_log2(n: int) -> int:

@@ -1,4 +1,4 @@
-"""Bit-word primitives: disparity, running digital sum, prefix inversion.
+"""The specification: bit-word primitives and the explicit subset listings.
 
 Words are plain strings over ``{'0', '1'}``, first bit leftmost, which is
 also the literal format used by the CLI and the test fixtures.  All numeric
@@ -6,25 +6,22 @@ quantities use the bipolar convention 0 -> -1, 1 -> +1, so a word is
 balanced exactly when its disparity is zero.  Index arguments count bits
 from 1; index 0 is legal only where it means "invert nothing".
 
-The codec walks blocks as integers, a byte at a time, in
-:mod:`balpack.subsets`; :func:`first_balancing_index` here is the per-bit
-specification its level search is tested against.
+No codec module imports this one; the tests, the self-check and the
+brute-force count do.  The codec walks blocks as integers, a byte at a time,
+in :mod:`balpack.subsets`; the per-bit :func:`first_balancing_index` and
+:func:`member_order` and the O(k^2) :func:`subset_members` specify its walks,
+and :func:`encode_nibble` the 4B6B rule of :mod:`balpack.fourb6b`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
+from .fourb6b import _sextet
+from .subsets import _decode_rank, check_word, level_index
+
 _FLIP = str.maketrans("01", "10")
-
-
-def check_word(w: str, *, allow_empty: bool = False) -> str:
-    """Validate a bit literal and return it unchanged."""
-    if not isinstance(w, str):
-        raise ValueError(f"word must be a str of 0/1, got {type(w).__name__}")
-    if not w and not allow_empty:
-        raise ValueError("word must be non-empty")
-    if w.strip("01"):
-        raise ValueError(f"word contains non-binary symbols: {w!r}")
-    return w
 
 
 def disparity(w: str) -> int:
@@ -67,3 +64,89 @@ def first_balancing_index(w: str) -> int:
         if run == half:
             return j
     return k  # the sums reach half by j = k at the latest
+
+
+class SubsetListing(NamedTuple):
+    """Ordered candidate list for one balanced word; ``len`` counts its members, not its fields."""
+
+    y: str
+    members: tuple[str, ...]
+    includes_balanced: bool
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+@lru_cache(maxsize=65536)
+def _members(y: str) -> tuple[str, ...]:
+    k, v = len(y), int(y, 2)
+    unbalanced, balanced = [], None
+    for j in range(1, k + 1):
+        cand = v ^ (((1 << j) - 1) << (k - j))  # invert_prefix(y, j)
+        t = cand.bit_count() - k // 2
+        if level_index(cand, k, t) != j:  # j is not the first balancing index
+            continue
+        if not t:
+            # invariant: each subset holds exactly one balanced word
+            assert balanced is None, f"two balanced members under {y!r}"
+            balanced = cand
+        else:
+            unbalanced.append(cand)
+    assert balanced is not None, f"no balanced member under {y!r}"
+    unbalanced.sort()  # equal-length words sort as their values
+    return tuple(format(m, f"0{k}b") for m in (*unbalanced, balanced))
+
+
+def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
+    """All words whose first-index balancing lands on ``y``, in prefix order.
+
+    Unbalanced members come first in ascending lexicographic order; the
+    unique balanced member is appended last when ``includes_balanced`` is
+    set (the uncompressed baseline listing) and omitted otherwise.
+    """
+    check_word(y)
+    if not is_balanced(y):
+        raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
+    members = _members(y)  # one cached listing serves both forms
+    return SubsetListing(y=y, members=members if includes_balanced else members[:-1],
+                         includes_balanced=includes_balanced)
+
+
+def subset_size_rds(y: str) -> int:
+    """Compressed-subset size of ``y``: the span of its running sums.
+
+    Each new level the sums reach is one member.  It is read off the decode
+    walk, as BASELINE_FL ranks a balanced block, so checking it against the
+    listing tests the walk the codec ships.
+    """
+    check_word(y)
+    if not is_balanced(y):
+        raise ValueError(f"running-sum size rule needs a balanced word, got {y!r}")
+    k = len(y)
+    return _decode_rank(int(y, 2), k, k // 2, False)[1]  # rank k/2 is past every member
+
+
+def member_order(y: int, k: int) -> list[int]:
+    """Inversion lengths of the compressed subset of the balanced ``k``-bit ``y``, in order.
+
+    Inverting y's first ``member_order(y, k)[r]`` bits gives member r.  A new
+    maximum or minimum of y's sums at j is a member, listed ascending if y's
+    bit j + 1 is 0, then descending if it is 1.
+    """
+    run = hi = lo = 0
+    zeros, ones = [], []
+    for j in range(1, k):  # d_k = 0 is no new level
+        run += 1 if y >> k - j & 1 else -1
+        if lo <= run <= hi:
+            continue
+        hi, lo = max(hi, run), min(lo, run)
+        (ones if y >> k - 1 - j & 1 else zeros).append(j)
+    return zeros + ones[::-1]
+
+
+def encode_nibble(nibble: str) -> str:
+    """Map a 4-bit word to its weight-3 sextet."""
+    check_word(nibble)
+    if len(nibble) != 4:
+        raise ValueError(f"nibble must be 4 bits, got {len(nibble)}")
+    return format(_sextet(int(nibble, 2)), "06b")

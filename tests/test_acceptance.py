@@ -20,7 +20,6 @@ from balpack.counting import (
     subset_size_count_bruteforce,
     subset_size_count_cosine,
 )
-from balpack.fourb6b import encode_nibble
 from balpack.redundancy import (
     comparison_rows,
     h0_exact,
@@ -34,10 +33,15 @@ from balpack.subsets import (
     ceil_log2,
     decode_packet,
     encode_packet,
+)
+from balpack.words import (
+    encode_nibble,
+    first_balancing_index,
+    invert_prefix,
+    is_balanced,
     subset_members,
     subset_size_rds,
 )
-from balpack.words import first_balancing_index, invert_prefix, is_balanced
 
 TABLE1 = {
     4:    (1.4150, 0.8000, 1.4387, 0.5000),

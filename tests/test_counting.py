@@ -13,7 +13,7 @@ from balpack.counting import (
     subset_size_count_cosine,
     trace_closed_walks,
 )
-from balpack.subsets import subset_members
+from balpack.words import subset_members
 
 
 def matrix_power_trace(states: int, steps: int) -> int:

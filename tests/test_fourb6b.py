@@ -7,9 +7,9 @@ import pytest
 
 from balpack import fourb6b
 from balpack.errors import BalpackError, CorruptPacketError, InvalidSextetError
-from balpack.fourb6b import balance_rank, encode_nibble, unbalance_rank
+from balpack.fourb6b import balance_rank, unbalance_rank
 from balpack.subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
-from balpack.words import is_balanced
+from balpack.words import encode_nibble, is_balanced
 
 FULL = Scheme.PROPOSED_FULL
 

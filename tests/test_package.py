@@ -11,7 +11,8 @@ from balpack import invariants
 from balpack.counting import CountTable
 from balpack.redundancy import RedundancyRow
 from balpack.stream import StreamHeader
-from balpack.subsets import Packet, Scheme, SubsetListing, subset_members
+from balpack.subsets import Packet, Scheme
+from balpack.words import SubsetListing, subset_members
 
 
 def test_every_exported_name_is_its_home_modules_object():
@@ -34,15 +35,37 @@ def test_star_import_and_unknown_names():
         exec("from balpack import no_such_name", {})
 
 
-def test_every_module_the_benchmark_tracer_hooks_imports():
-    """A traced benchmark run imports each module its spans name and dies if one is gone."""
+def tracer_sites():
+    """The (module, attribute) pairs the benchmark tracer wraps."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    modules = {module for sites in tracer.SPANS.values() for module, _ in sites}
-    for module in sorted(modules):
+    return {site for sites in tracer.SPANS.values() for site in sites}
+
+
+def test_every_module_the_benchmark_tracer_hooks_imports():
+    """A traced benchmark run imports each module its spans name and dies if one is gone."""
+    for module in sorted({module for module, _ in tracer_sites()}):
         importlib.import_module(module)
+
+
+#: The tracer sites that resolve.  A missing one only prints "not found" and
+#: reads 0 in its per-layer metrics, so moving a name can drop it unnoticed.
+LIVE_TRACER_SITES = [
+    ("balpack.cli", "_cmd_encode"), ("balpack.cli", "_cmd_decode"),
+    ("balpack.cli", "_cmd_tables"), ("balpack.cli", "_cmd_selfcheck"),
+    ("balpack.counting", "subset_members"), ("balpack.counting", "subset_size_count"),
+    ("balpack.counting", "subset_size_count_bruteforce"),
+    ("balpack.counting", "trace_closed_walks"),
+]
+
+
+def test_the_benchmark_tracers_live_hooks_resolve():
+    named = tracer_sites()
+    dead = [f"{module}.{attr}" for module, attr in LIVE_TRACER_SITES if (module, attr) in named
+            and not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not dead
 
 
 RECORDS = [

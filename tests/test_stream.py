@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import invariants, subsets
+from balpack import invariants, words
 from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
@@ -193,7 +193,7 @@ def test_roundtrip_at_header_block_length_limit(monkeypatch, scheme):
     def listing_forbidden(*args, **kwargs):
         raise AssertionError("the codec built an explicit subset listing")
 
-    monkeypatch.setattr(subsets, "_members", listing_forbidden)
+    monkeypatch.setattr(words, "_members", listing_forbidden)
     k = 65534
     unbalanced = format(random.Random(k).getrandbits(k), f"0{k}b")
     assert not is_balanced(unbalanced)
@@ -715,12 +715,13 @@ def test_cli_selfcheck(capsys):
     assert main(["selfcheck", "--k-max", "99"]) == 1
 
 def test_cli_import_loads_only_the_codec_path():
-    """Encode and decode load neither the analytics, the self-check harness nor mpmath.
+    """Encode and decode load neither the analytics, the oracles, the self-check harness nor mpmath.
 
     ``balpack.knuth`` holds no code; the Knuth codec is the kernel's ``Scheme.KNUTH``.
     """
     unwanted = ["dataclasses", "inspect", "fractions", "decimal", "csv", "mpmath",
-                "balpack.counting", "balpack.redundancy", "balpack.invariants", "balpack.knuth"]
+                "balpack.counting", "balpack.redundancy", "balpack.invariants", "balpack.knuth",
+                "balpack.words"]
     code = f"import sys, balpack.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     src_dir = Path(balpack.__file__).resolve().parent.parent
     result = subprocess.run(

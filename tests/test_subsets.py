@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpack import subsets
+from balpack import subsets, words
 from balpack.errors import BalpackError, CorruptPacketError
 from balpack.fourb6b import balance_rank
 from balpack.subsets import (
@@ -18,12 +18,16 @@ from balpack.subsets import (
     decode_packet,
     encode_packet,
     level_index,
-    member_order,
     prefix_length,
+)
+from balpack.words import (
+    first_balancing_index,
+    invert_prefix,
+    is_balanced,
+    member_order,
     subset_members,
     subset_size_rds,
 )
-from balpack.words import first_balancing_index, invert_prefix, is_balanced
 
 RANKED_SCHEMES = [
     Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL, Scheme.PROPOSED_FULL
@@ -68,11 +72,11 @@ def test_subset_members_rejects_unbalanced():
 
 
 def test_both_listings_share_one_cached_build():
-    subsets._members.cache_clear()
+    words._members.cache_clear()
     y = "01101001"
     subset_members(y, includes_balanced=True)
     subset_members(y, includes_balanced=False)
-    assert subsets._members.cache_info().misses == 1
+    assert words._members.cache_info().misses == 1
 
 
 def test_subset_size_rds_examples():
@@ -247,24 +251,6 @@ def test_packet_length_property():
             assert n == k or k + 1 <= n <= k + prefix_length(k, Scheme.PROPOSED_FL)
 
 
-def string_walk(y):
-    """First visits of ``y``'s running sums in listing order, one character at a time.
-
-    The readable form of the pass :func:`member_order` makes a byte at a
-    time: a new maximum or minimum of the sums at j is a member, listed
-    ascending if y's bit j + 1 is 0 and descending after them if it is 1.
-    """
-    run = hi = lo = 0
-    zeros, ones = [], []
-    for j, c in enumerate(y, start=1):
-        run += 1 if c == "1" else -1
-        if lo <= run <= hi:
-            continue
-        hi, lo = max(hi, run), min(lo, run)
-        (ones if y[j] == "1" else zeros).append(j)  # j < k: d_k = 0 is no new level
-    return zeros + ones[::-1]
-
-
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
 def test_member_order_matches_listing_oracle(k):
     for y in balanced_words(k):
@@ -273,13 +259,6 @@ def test_member_order_matches_listing_oracle(k):
         # BASELINE_FL's balanced member inverts up to y's first return to zero
         balanced = invert_prefix(y, first_balancing_index(y))
         assert (*members, balanced) == subset_members(y, includes_balanced=True).members
-
-
-@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14, 16])
-def test_byte_walk_matches_string_walk_exhaustive(k):
-    # below k = 8 and at 10, 12 and 14 the last byte ends in a zero fill
-    for y in balanced_words(k):
-        assert member_order(int(y, 2), k) == string_walk(y)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
@@ -309,7 +288,6 @@ def test_byte_walk_matches_listing_oracle(data):
     word = format(y, f"0{k}b")
     assert level_index(y, k, 0) == first_balancing_index(word)
     order = member_order(y, k)
-    assert order == string_walk(word)
     members = tuple(format(y ^ (((1 << j) - 1) << (k - j)), f"0{k}b") for j in order)
     assert members == subset_members(word, includes_balanced=False).members
     # the decode walk names each listing entry, and none past the end
@@ -458,8 +436,8 @@ def test_codec_path_never_lists(monkeypatch, scheme):
     def listing_forbidden(*args, **kwargs):
         raise AssertionError("the codec built an explicit subset listing")
 
-    monkeypatch.setattr(subsets, "_members", listing_forbidden)
-    monkeypatch.setattr(subsets, "member_order", listing_forbidden)
+    monkeypatch.setattr(words, "_members", listing_forbidden)
+    monkeypatch.setattr(words, "member_order", listing_forbidden)
     k = 1024
     rng = random.Random(1024)
     blocks = ["01" * (k // 2), "1" * k, "0" * k]
