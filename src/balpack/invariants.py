@@ -58,6 +58,11 @@ SEXTET_TABLE = {
 }
 
 
+# The checks selfcheck runs on every balanced word of each k, in report order.
+PER_WORD_CHECKS = ("balanced words balance to balanced words", "subset sizes within 1..k/2",
+                   "size equals running-sum span", "exactly one balanced member, listed last")
+
+
 def selfcheck(k_max: int) -> SelfCheckReport:
     """Run the structural invariants exhaustively for every even k <= k_max."""
     if k_max > 16:
@@ -67,37 +72,28 @@ def selfcheck(k_max: int) -> SelfCheckReport:
     report = SelfCheckReport()
 
     for k in range(4, k_max + 1, 2):
-        bad_balance = [
-            y for y in balanced_words(k)
-            if not is_balanced(invert_prefix(y, first_balancing_index(y)))
-        ]
-        report.add(
-            f"k={k}: balanced words balance to balanced words",
-            not bad_balance,
-            f"counterexample {bad_balance[0]}" if bad_balance else "",
-        )
-
-        sizes_ok, span_ok, one_balanced = True, True, True
+        first_failure: dict[str, str] = {}  # per-word check -> its first counterexample
         seen_unbalanced: set[str] = set()
         seen_all: set[str] = set()
-        detail = ""
         for y in balanced_words(k):
             baseline = subset_members(y, includes_balanced=True).members
             proposed = subset_members(y, includes_balanced=False).members
             lam = len(proposed)
-            if not 1 <= lam <= k // 2:
-                sizes_ok, detail = False, f"size {lam} at {y}"
-            if subset_size_rds(y) != lam:
-                span_ok, detail = False, f"running-sum span mismatch at {y}"
-            balanced_members = [m for m in baseline if is_balanced(m)]
-            if len(balanced_members) != 1 or baseline[-1] != balanced_members[0]:
-                one_balanced, detail = False, f"balanced member rule broken at {y}"
+            outcomes = (  # True, or the counterexample y makes of the check
+                is_balanced(invert_prefix(y, first_balancing_index(y))) or f"counterexample {y}",
+                1 <= lam <= k // 2 or f"size {lam} at {y}",
+                subset_size_rds(y) == lam or f"running-sum span mismatch at {y}",
+                (sum(map(is_balanced, baseline)) == 1 and is_balanced(baseline[-1]))
+                or f"balanced member rule broken at {y}",
+            )
+            for name, outcome in zip(PER_WORD_CHECKS, outcomes):
+                if isinstance(outcome, str):
+                    first_failure.setdefault(name, outcome)
             seen_unbalanced.update(proposed)
             seen_all.update(baseline)
+        for name in PER_WORD_CHECKS:
+            report.add(f"k={k}: {name}", name not in first_failure, first_failure.get(name, ""))
         n_unbal = 2**k - math.comb(k, k // 2)
-        report.add(f"k={k}: subset sizes within 1..k/2", sizes_ok, detail)
-        report.add(f"k={k}: size equals running-sum span", span_ok, detail)
-        report.add(f"k={k}: exactly one balanced member, listed last", one_balanced, detail)
         report.add(
             f"k={k}: compressed subsets partition the unbalanced words",
             len(seen_unbalanced) == n_unbal and not any(map(is_balanced, seen_unbalanced)),

@@ -65,8 +65,9 @@ def check_word(w: str, *, allow_empty: bool = False) -> str:
         raise ValueError(f"word must be a str of 0/1, got {type(w).__name__}")
     if not w and not allow_empty:
         raise ValueError("word must be non-empty")
-    if w.strip("01"):
-        raise ValueError(f"word contains non-binary symbols: {w!r}")
+    rest = w.lstrip("01")
+    if rest:
+        raise ValueError(f"word has non-binary symbol {rest[0]!r} at index {len(w) - len(rest)}")
     return w
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import invariants, words
+from balpack import invariants
 from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
@@ -187,13 +187,8 @@ def test_roundtrip_random_inputs(scheme, k, bits):
 
 
 @pytest.mark.parametrize("scheme", [s for s in ALL_SCHEMES if s is not Scheme.KNUTH])
-def test_roundtrip_at_header_block_length_limit(monkeypatch, scheme):
-    # 65534 is the largest even k the 16-bit header field holds; the
-    # explicit O(k^2) listings must stay out of reach at this size.
-    def listing_forbidden(*args, **kwargs):
-        raise AssertionError("the codec built an explicit subset listing")
-
-    monkeypatch.setattr(words, "_members", listing_forbidden)
+def test_roundtrip_at_header_block_length_limit(scheme):
+    # 65534 is the largest even k the 16-bit header field holds
     k = 65534
     unbalanced = format(random.Random(k).getrandbits(k), f"0{k}b")
     assert not is_balanced(unbalanced)
@@ -559,6 +554,23 @@ def test_selfcheck_reports_a_broken_count_identity(monkeypatch, capsys):
     assert lines[-1].startswith("FAILED:")
 
 
+def test_selfcheck_names_each_checks_own_counterexample(monkeypatch):
+    """A broken running-sum span fails its own entry only; no passing entry carries its detail."""
+    clean = {entry.name: entry.detail for entry in selfcheck(6).entries}
+    subset_size_rds = invariants.subset_size_rds
+
+    def one_off_at_0110(y):
+        return subset_size_rds(y) + (y == "0110")
+
+    monkeypatch.setattr(invariants, "subset_size_rds", one_off_at_0110)
+    report = selfcheck(6)
+    failed = {entry.name: entry.detail for entry in report.entries if not entry.passed}
+    assert failed == {"k=4: size equals running-sum span": "running-sum span mismatch at 0110"}
+    assert {entry.name: entry.detail for entry in report.entries if entry.passed} == {
+        name: detail for name, detail in clean.items() if name not in failed
+    }
+
+
 # --- CLI ---
 
 
@@ -757,12 +769,12 @@ def test_cli_import_builds_no_walk_table():
     first ranked block builds it, and so does the first Knuth block.
     """
     code = (
-        "import sys, balpack.cli; from balpack import subsets, words\n"
-        "print(subsets._BYTE_SPAN is not None, hasattr(words, '_BYTE_WALK'))\n"
+        "import sys, balpack.cli; subsets = sys.modules['balpack.subsets']\n"
+        "print(subsets._BYTE_SPAN is not None, 'balpack.words' in sys.modules)\n"
         "k = 66; y = int('01' * (k // 2), 2)  # one member, inverting the first bit\n"
         "codec = subsets.BlockCodec(k, subsets.Scheme[sys.argv[1]])\n"
         "x = y ^ 1 << k - 1; assert codec.decode(*codec.encode(x)) == x\n"
-        "print(subsets._BYTE_SPAN is not None)\n"
+        "print(subsets._BYTE_SPAN is not None, 'balpack.words' in sys.modules)\n"
     )
     src_dir = Path(balpack.__file__).resolve().parent.parent
     for scheme in ("BASELINE_FL", "KNUTH"):
@@ -770,4 +782,33 @@ def test_cli_import_builds_no_walk_table():
             [sys.executable, "-c", code, scheme], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": str(src_dir)},
         )
-        assert result.stdout.split() == ["False", "False", "True"], scheme
+        assert result.stdout.split() == ["False", "False", "True", "False"], scheme
+
+
+def test_codec_path_never_imports_the_oracles():
+    """Ranked round trips at k = 1024 and 65534 never load ``balpack.words``.
+
+    ``test_cli_import_loads_only_the_codec_path`` checks the import alone;
+    this also catches an oracle imported lazily by the codec on first use.
+    """
+    code = (
+        "import random, sys, balpack.cli\n"
+        "from balpack.stream import deframe_bytes, frame_bytes\n"
+        "from balpack.subsets import Scheme\n"
+        "for k in (1024, 65534):  # 65534: the largest even k the header holds\n"
+        "    bits = '01' * (k // 2) + '1' * k + '0' * k\n"
+        "    bits += format(random.Random(k).getrandbits(2 * k), f'0{2 * k}b')\n"
+        "    fill = -len(bits) % 8\n"
+        "    data = int(bits + '0' * fill, 2).to_bytes((len(bits) + fill) // 8, 'big')\n"
+        "    for scheme in (s for s in Scheme if s is not Scheme.KNUTH):\n"
+        "        stream = frame_bytes(data, k, scheme, bit_count=len(bits))\n"
+        "        assert deframe_bytes(stream) == (data, len(bits)), (k, scheme)\n"
+        "print('balpack.words' in sys.modules)\n"
+    )
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src_dir)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
