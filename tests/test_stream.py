@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import invariants
+from balpack import cli, invariants
 from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
@@ -417,8 +417,8 @@ def test_frame_bytes_rejects_a_bit_count_its_bytes_do_not_hold():
 def test_cli_codec_memory_is_proportional_to_the_file(tmp_path, k):
     """Encode and decode of a 64 KiB file hold no bit string: each peaks below 512 KiB.
 
-    Each command runs once untraced first, so one-time set-up (argparse's
-    patterns, the byte-walk table) is not counted against the file.
+    Each command runs once untraced first, so one-time set-up (the byte-walk
+    table) is not counted against the file.
     """
     src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
     payload = random.Random(k).randbytes(64 << 10)
@@ -726,14 +726,114 @@ def test_cli_selfcheck(capsys):
     assert "NOTE" in out
     assert main(["selfcheck", "--k-max", "99"]) == 1
 
+
+@pytest.mark.parametrize("argv, problem", [
+    (["frobnicate", "IN", "OUT"], "invalid command 'frobnicate'"),
+    ([], "a command is required"),
+    (["encode", "--scheme", "knuth", "--k", "16", "--bogus", "IN", "OUT"],
+     "unrecognized arguments: --bogus"),
+    (["encode", "--sch", "knuth", "--k", "16", "IN", "OUT"], "unrecognized arguments: --sch"),
+    (["encode", "-x", "--scheme", "knuth", "--k", "16", "IN", "OUT"], "unrecognized arguments: -x"),
+    (["encode", "--scheme", "knuth", "--k", "16", "--pad=yes", "IN", "OUT"],
+     "unrecognized arguments: --pad=yes"),
+    (["encode", "--k", "16", "IN", "OUT"], "the following arguments are required: --scheme"),
+    (["encode", "--scheme", "knuth", "IN", "OUT"], "the following arguments are required: --k"),
+    (["tables", "--k-list", "4"], "the following arguments are required: --what"),
+    (["encode", "IN", "OUT", "--scheme", "knuth", "--k"], "argument --k: expected one argument"),
+    (["encode", "--scheme", "--k", "16", "IN", "OUT"], "argument --scheme: expected one argument"),
+    (["encode", "--scheme", "nope", "--k", "16", "IN", "OUT"],
+     "argument --scheme: invalid choice: 'nope'"),
+    (["tables", "--what", "nope"], "argument --what: invalid choice: 'nope'"),
+    (["encode", "--scheme", "knuth", "--k", "x", "IN", "OUT"],
+     "argument --k: invalid literal for int() with base 10: 'x'"),
+    (["selfcheck", "--k-max", "x"], "argument --k-max: invalid literal for int()"),
+    (["encode", "--scheme", "knuth", "--k", "16", "IN"],
+     "the following arguments are required: outfile"),
+    (["decode"], "the following arguments are required: infile, outfile"),
+    (["encode", "--scheme", "knuth", "--k", "16", "IN", "OUT", "extra"],
+     "unrecognized arguments: extra"),
+])
+def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, capsys, argv, problem):
+    src, out = tmp_path / "input.bin", tmp_path / "output.bpk"
+    src.write_bytes(bytes(64))
+    argv = [{"IN": str(src), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("usage: balpack")
+    assert f"balpack: error: {problem}" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", [
+    ["--k=64", "--scheme=proposed-full", "IN", "OUT"],
+    ["IN", "OUT", "--scheme", "proposed-full", "--k", "64"],
+    ["IN", "--k=64", "OUT", "--scheme=proposed-full"],
+    ["--scheme", "knuth", "--k", "8", "--scheme", "proposed-full", "--k=64", "IN", "OUT"],
+])
+def test_cli_option_spellings_round_trip(tmp_path, spelling):
+    """``--name=value``, options after the positionals, and the last repeat wins."""
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    payload = random.Random(64).randbytes(512)
+    src.write_bytes(payload)
+    assert main(["encode", *[{"IN": str(src), "OUT": str(enc)}.get(a, a) for a in spelling]]) == 0
+    assert enc.read_bytes() == frame_bytes(payload, 64, Scheme.PROPOSED_FULL)
+    assert main(["decode", str(enc), str(out)]) == 0
+    assert out.read_bytes() == payload
+
+
+def test_cli_main_calls_the_handler_it_finds_at_run_time(monkeypatch):
+    """``main`` looks each ``_cmd_`` handler up per call: the benchmark tracer replaces them."""
+    assert set(cli.build_parser()) == {"encode", "decode", "tables", "selfcheck"}
+    calls = []
+    for command in cli.build_parser():
+        monkeypatch.setattr(cli, f"_cmd_{command}", lambda **kw: calls.append(kw) or 0)
+    for argv in (["encode", "--scheme", "knuth", "--k", "16", "in", "out"],
+                 ["encode", "--pad", "--scheme", "proposed-vl", "--k", "-4", "in", "out"],
+                 ["decode", "in", "out"],
+                 ["tables", "--what", "fig3"], ["tables", "--what", "fig2", "--k-list", "4, 8"],
+                 ["selfcheck"], ["selfcheck", "--k-max", "12"]):
+        assert main(argv) == 0
+    monkeypatch.setattr(sys, "argv", ["balpack", "decode", "a", "b"])
+    assert main() == 0
+    assert calls == [
+        {"scheme": "knuth", "k": 16, "pad": False, "infile": "in", "outfile": "out"},
+        {"scheme": "proposed-vl", "k": -4, "pad": True, "infile": "in", "outfile": "out"},
+        {"infile": "in", "outfile": "out"},
+        {"what": "fig3", "k_list": [4, 8, 16, 32, 64, 128, 256, 512, 1024]},
+        {"what": "fig2", "k_list": [4, 8]},
+        {"k_max": 8}, {"k_max": 12},
+        {"infile": "a", "outfile": "b"},
+    ]
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: balpack [-h] {encode,decode,tables,selfcheck} ..."),
+    (["--help"], "usage: balpack [-h] {encode,decode,tables,selfcheck} ..."),
+    (["encode", "--help"], "usage: balpack encode [-h] --scheme {baseline-fl,knuth,proposed-fl,"
+                           "proposed-full,proposed-vl} --k K [--pad] infile outfile"),
+    (["decode", "IN", "-h"], "usage: balpack decode [-h] infile outfile"),
+    (["tables", "-h"], "usage: balpack tables [-h] --what {table1,nlambda,fig2,fig3} "
+                       "[--k-list K_LIST]"),
+    (["selfcheck", "--help"], "usage: balpack selfcheck [-h] [--k-max K_MAX]"),
+])
+def test_cli_help_prints_usage_to_stdout_and_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    stdout, stderr = capsys.readouterr()
+    assert stdout.splitlines()[0] == usage and stderr == ""
+
+
 def test_cli_import_loads_only_the_codec_path():
-    """Encode and decode load neither the analytics, the oracles, the self-check harness nor mpmath.
+    """Encode and decode load no argparse, analytics, oracles, self-check harness or mpmath.
 
     ``balpack.knuth`` holds no code; the Knuth codec is the kernel's ``Scheme.KNUTH``.
     """
-    unwanted = ["dataclasses", "inspect", "fractions", "decimal", "csv", "mpmath",
-                "balpack.counting", "balpack.redundancy", "balpack.invariants", "balpack.knuth",
-                "balpack.words"]
+    unwanted = ["argparse", "gettext", "dataclasses", "inspect", "fractions", "decimal", "csv",
+                "mpmath", "balpack.counting", "balpack.redundancy", "balpack.invariants",
+                "balpack.knuth", "balpack.words"]
     code = f"import sys, balpack.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     src_dir = Path(balpack.__file__).resolve().parent.parent
     result = subprocess.run(

@@ -470,3 +470,57 @@ def test_ranked_decoders_accept_exactly_the_encoder_image(k, scheme):
             accepted += 1
             assert codec.encode(x) == (v, p)
     assert accepted == 2**k
+
+
+def unidirectional_misses(k, scheme):
+    """(undetected, total) over every non-empty unidirectional error of every packet at ``k``.
+
+    A unidirectional error flips some of a packet's ones to zeros, or some of
+    its zeros to ones, never both.  The packet channel delivers the packet's
+    bit length, so each corrupted packet is decoded at the prefix length sent.
+    """
+    codec = BlockCodec(k, scheme)
+    undetected = total = 0
+    for x in range(1 << k):
+        v, p = codec.encode(x)
+        for bits in (v, ~v & ((1 << (k + p)) - 1)):
+            flips = bits
+            while flips:  # every non-empty subset of bits
+                total += 1
+                try:
+                    codec.decode(v ^ flips, p)
+                    undetected += 1
+                except BalpackError:
+                    pass
+                flips = (flips - 1) & bits
+    return undetected, total
+
+
+@pytest.mark.parametrize("k, total", [(4, 656), (6, 5824), (8, 49344)])
+def test_full_balancing_detects_every_unidirectional_error(k, total):
+    # the payload must weigh k/2 and each sextet 3, and a unidirectional
+    # error changes the weight of at least one of them
+    assert unidirectional_misses(k, Scheme.PROPOSED_FULL) == (0, total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_full_balancing_detects_random_unidirectional_errors_up_to_k_1024(data):
+    k = 2 * data.draw(st.integers(2, 512))
+    codec = BlockCodec(k, Scheme.PROPOSED_FULL)
+    v, p = codec.encode(data.draw(st.integers(0, (1 << k) - 1)))
+    bits = data.draw(st.sampled_from([v, ~v & ((1 << (k + p)) - 1)]))  # its ones, or its zeros
+    flips = data.draw(st.integers(0, (1 << (k + p)) - 1)) & bits or bits & -bits
+    with pytest.raises(BalpackError):
+        codec.decode(v ^ flips, p)
+
+
+@pytest.mark.parametrize("k, scheme, counts", [
+    (6, Scheme.KNUTH, (116, 3424)), (6, Scheme.BASELINE_FL, (112, 2128)),
+    (6, Scheme.PROPOSED_FL, (48, 1760)), (6, Scheme.PROPOSED_VL, (48, 1440)),
+    (8, Scheme.KNUTH, (540, 27904)), (8, Scheme.BASELINE_FL, (532, 27424)),
+    (8, Scheme.PROPOSED_FL, (264, 14880)), (8, Scheme.PROPOSED_VL, (264, 13472)),
+])
+def test_unbalanced_prefixes_miss_some_unidirectional_errors(k, scheme, counts):
+    # an error inside an unbalanced prefix can name another member of the subset
+    assert unidirectional_misses(k, scheme) == counts
