@@ -3,10 +3,16 @@
 Exit status is 0 on success, 2 on a usage error, 141 when the reader of
 standard output leaves early, and otherwise nonzero on any error or detected
 corruption.
+
+Each command runs with CPython's cyclic garbage collector paused: no command
+creates reference cycles, so reference counting alone keeps memory bounded
+per block, and a collector pass would walk the objects import and the byte
+table left behind and free nothing.  Library callers keep their own setting.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 
@@ -157,6 +163,8 @@ def _parse(table: dict[str, tuple], argv: list[str]) -> tuple[str, dict[str, obj
 
 def main(argv: list[str] | None = None) -> int:
     command, keywords = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:  # looked up by name at each call, so a handler replaced in this module is the one run
         status = globals()[f"_cmd_{command}"](**keywords)
         sys.stdout.flush()  # a reader that left surfaces here, not at exit
@@ -167,6 +175,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BalpackError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Framing, self-check and CLI tests."""
 
+import gc
 import hashlib
 import math
 import os
@@ -912,3 +913,108 @@ def test_codec_path_never_imports_the_oracles():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("k, size", [(1024, 1 << 10), (16, 8 << 10)])
+@pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
+def test_cold_cli_call_runs_no_collector_pass(tmp_path, name, k, size):
+    """A fresh ``balpack encode`` / ``decode`` makes no pass of the cyclic garbage collector.
+
+    Without the pause, import and the byte table leave enough tracked objects
+    that the first call of every process runs at least one pass.
+    """
+    code = (
+        "import gc, sys\n"
+        "from balpack.cli import main\n"
+        "passes = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append(info))\n"
+        "status = main(sys.argv[1:])\n"
+        "print(status, len(passes), gc.isenabled())\n"
+    )
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    src.write_bytes(random.Random(size + k).randbytes(size))
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    for argv in (["encode", "--scheme", name, "--k", str(k), str(src), str(enc)],
+                 ["decode", str(enc), str(out)]):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True,
+            env={"PYTHONPATH": str(src_dir)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "0", "True"], argv[0]
+    assert out.read_bytes() == src.read_bytes()
+
+
+def test_cli_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch):
+    """Every way out of ``main`` restores the collector's setting; the library never sets it."""
+    src, enc, out, bad = (tmp_path / name for name in ("in", "stream.bpk", "out", "bad.bpk"))
+    src.write_bytes(random.Random(7).randbytes(512))
+    bad.write_bytes(b"not a stream at all")
+    encode = ["encode", "--scheme", "proposed-fl", "--k", "64", str(src), str(enc)]
+    during = []
+
+    def interrupted(**keywords):
+        during.append(gc.isenabled())
+        raise KeyboardInterrupt
+
+    assert gc.isenabled()
+    try:
+        for setting in (True, False):
+            (gc.enable if setting else gc.disable)()
+            assert main(encode) == 0 and gc.isenabled() is setting
+            assert main(["decode", str(enc), str(out)]) == 0 and gc.isenabled() is setting
+            assert main(["decode", str(bad), str(out)]) == 1 and gc.isenabled() is setting
+            stream = frame_bytes(src.read_bytes(), 64, Scheme.PROPOSED_FL)
+            assert deframe_bytes(stream)[0] == src.read_bytes() and gc.isenabled() is setting
+            for argv, code in ((["encode", "--k", "x"], 2), (["--help"], 0),
+                               (["decode", "--help"], 0)):
+                with pytest.raises(SystemExit) as exit_info:
+                    main(argv)
+                assert exit_info.value.code == code and gc.isenabled() is setting
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_cmd_selfcheck", interrupted)
+                with pytest.raises(KeyboardInterrupt):
+                    main(["selfcheck"])
+            assert gc.isenabled() is setting
+    finally:
+        gc.enable()
+    assert during == [False, False]
+    assert out.read_bytes() == src.read_bytes()
+
+
+def test_no_command_leaves_reference_cycles(tmp_path):
+    """With the collector off, every command frees all it made by reference counting alone.
+
+    This is what makes the pause in ``cli.main`` safe: memory stays bounded
+    per block.  ``gc.DEBUG_SAVEALL`` keeps whatever a pass would have freed.
+    """
+    code = (
+        "import gc, random, sys\n"
+        "from pathlib import Path\n"
+        "from balpack.cli import SCHEME_NAMES, main\n"
+        "from balpack.stream import deframe_bytes, frame_bytes\n"
+        "gc.disable(); gc.collect(); gc.set_debug(gc.DEBUG_SAVEALL)\n"
+        "tmp = Path(sys.argv[1]); src, enc, out = tmp / 'in', tmp / 'stream.bpk', tmp / 'out'\n"
+        "for k in (4, 6, 16, 18, 64, 1002, 1024):\n"
+        "    data = random.Random(k).randbytes(517)\n"
+        "    src.write_bytes(data)\n"
+        "    for name, scheme in SCHEME_NAMES.items():\n"
+        "        stream = frame_bytes(data, k, scheme, pad_mode=True)\n"
+        "        assert deframe_bytes(stream) == (data, 8 * len(data)), (name, k)\n"
+        "        assert main(['encode', '--pad', '--scheme', name, '--k', str(k),\n"
+        "                     str(src), str(enc)]) == 0\n"
+        "        assert main(['decode', str(enc), str(out)]) == 0\n"
+        "        assert out.read_bytes() == data, (name, k)\n"
+        "enc.write_bytes(stream[:-1])\n"
+        "assert main(['decode', str(enc), str(out)]) == 1\n"
+        "assert main(['tables', '--what', 'fig2']) == 0\n"
+        "assert main(['selfcheck', '--k-max', '8']) == 0\n"
+        "print('unreachable', gc.collect(), len(gc.garbage), file=sys.stderr)\n"
+    )
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+        env={"PYTHONPATH": str(src_dir)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "unreachable 0 0", result.stderr
