@@ -28,10 +28,10 @@ _HOMES = {
         "h0_exact", "h1_avg", "h1_prime", "h2_avg", "h_avg", "h_prime",
     ),
     "stream": ("StreamHeader", "deframe_bytes", "deframe_stream", "frame_bytes", "frame_stream"),
-    "subsets": ("Packet", "Scheme", "decode_packet", "encode_packet", "prefix_length"),
+    "subsets": ("Scheme", "prefix_length"),
     "words": (
-        "SubsetListing", "disparity", "encode_nibble", "first_balancing_index", "invert_prefix",
-        "is_balanced", "subset_members", "subset_size_rds",
+        "decode_packet", "disparity", "encode_nibble", "encode_packet", "first_balancing_index",
+        "invert_prefix", "is_balanced", "subset_members", "subset_size_rds",
     ),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

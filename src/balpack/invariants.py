@@ -76,8 +76,8 @@ def selfcheck(k_max: int) -> SelfCheckReport:
         seen_unbalanced: set[str] = set()
         seen_all: set[str] = set()
         for y in balanced_words(k):
-            baseline = subset_members(y, includes_balanced=True).members
-            proposed = subset_members(y, includes_balanced=False).members
+            baseline = subset_members(y, includes_balanced=True)
+            proposed = subset_members(y, includes_balanced=False)
             lam = len(proposed)
             outcomes = (  # True, or the counterexample y makes of the check
                 is_balanced(invert_prefix(y, first_balancing_index(y))) or f"counterexample {y}",
@@ -118,10 +118,10 @@ def selfcheck(k_max: int) -> SelfCheckReport:
         )
 
     listings_ok = all(
-        subset_members(y, includes_balanced=True).members == expect
+        subset_members(y, includes_balanced=True) == expect
         for y, expect in EXAMPLE_K4_BASELINE.items()
     ) and all(
-        subset_members(y, includes_balanced=False).members == expect
+        subset_members(y, includes_balanced=False) == expect
         for y, expect in EXAMPLE_K4_PROPOSED.items()
     )
     report.add("k=4: worked-example listings reproduced", listings_ok)

@@ -46,29 +46,17 @@ single extra step, :func:`balpack.fourb6b.balance_rank` on the rank.
 It takes and returns blocks as integers, first bit most significant, and
 formats none.  It works out the scheme's widths and its smallest k once,
 from the largest listing the scheme ranks into, and checks no block:
-streams are checked once per stream, and :func:`encode_packet` /
-:func:`decode_packet` are its checking string adapters.
+streams are checked once per stream, and the checking bit-string adapters
+:func:`balpack.words.encode_packet` / :func:`balpack.words.decode_packet`
+live off the codec path.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
-
-
-def check_word(w: str, *, allow_empty: bool = False) -> str:
-    """Validate a bit literal and return it unchanged."""
-    if not isinstance(w, str):
-        raise ValueError(f"word must be a str of 0/1, got {type(w).__name__}")
-    if not w and not allow_empty:
-        raise ValueError("word must be non-empty")
-    rest = w.lstrip("01")
-    if rest:
-        raise ValueError(f"word has non-binary symbol {rest[0]!r} at index {len(w) - len(rest)}")
-    return w
 
 
 class Scheme(enum.Enum):
@@ -77,23 +65,6 @@ class Scheme(enum.Enum):
     PROPOSED_FL = 2
     PROPOSED_VL = 3
     PROPOSED_FULL = 4
-
-
-class _PacketFields(NamedTuple):
-    bits: str
-
-
-class Packet(_PacketFields):
-    """One transmitted codeword; its length is the end-of-packet information."""
-
-    __slots__ = ()
-
-    def __new__(cls, bits: str) -> Packet:
-        return super().__new__(cls, check_word(bits))
-
-    @property
-    def bit_length(self) -> int:
-        return len(self.bits)
 
 
 #: Per byte value: its net bipolar sum, the highest and lowest of its running
@@ -353,19 +324,3 @@ class BlockCodec:
                 raise CorruptPacketError(f"rank {rank} outside subset of size {size}")
             e = level_index(y, k, 0)
         return y ^ (((1 << e) - 1) << (k - e))
-
-
-def encode_packet(x: str, scheme: Scheme) -> Packet:
-    """Encode one information word into a self-contained packet."""
-    check_word(x)
-    value, p = BlockCodec(len(x), scheme).encode(int(x, 2))
-    return Packet(format(value, f"0{len(x) + p}b"))
-
-
-def decode_packet(p: Packet, k: int, scheme: Scheme) -> str:
-    """Decode one packet back to its information word.
-
-    The packet's bit length stands in for the end-of-packet marker, so the
-    variable-length prefix is ``bit_length - k`` bits, and at least one.
-    """
-    return format(BlockCodec(k, scheme).decode(int(p.bits, 2), p.bit_length - k), f"0{k}b")

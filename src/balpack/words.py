@@ -1,7 +1,7 @@
-"""The specification: bit-word primitives and the explicit subset listings.
+"""The specification: bit-word primitives, explicit subset listings and packet adapters.
 
-Words are plain strings over ``{'0', '1'}``, first bit leftmost, which is
-also the literal format used by the CLI and the test fixtures.  All numeric
+Words are plain strings over ``{'0', '1'}``, first bit leftmost, the
+format of the test fixtures; the CLI reads and writes bytes.  All numeric
 quantities use the bipolar convention 0 -> -1, 1 -> +1, so a word is
 balanced exactly when its disparity is zero.  Index arguments count bits
 from 1; index 0 is legal only where it means "invert nothing".
@@ -11,17 +11,29 @@ brute-force count do.  The codec walks blocks as integers, a byte at a time,
 in :mod:`balpack.subsets`; the per-bit :func:`first_balancing_index` and
 :func:`member_order` and the O(k^2) :func:`subset_members` specify its walks,
 and :func:`encode_nibble` the 4B6B rule of :mod:`balpack.fourb6b`.
+:func:`encode_packet` and :func:`decode_packet` check a word and run one
+block of it through the integer kernel, :class:`balpack.subsets.BlockCodec`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .fourb6b import _sextet
-from .subsets import _decode_rank, check_word, level_index
+from .subsets import BlockCodec, Scheme, _decode_rank, level_index
 
 _FLIP = str.maketrans("01", "10")
+
+
+def check_word(w: str, *, allow_empty: bool = False) -> None:
+    """Raise ``ValueError`` unless ``w`` is a bit literal."""
+    if not isinstance(w, str):
+        raise ValueError(f"word must be a str of 0/1, got {type(w).__name__}")
+    if not w and not allow_empty:
+        raise ValueError("word must be non-empty")
+    rest = w.lstrip("01")
+    if rest:
+        raise ValueError(f"word has non-binary symbol {rest[0]!r} at index {len(w) - len(rest)}")
 
 
 def disparity(w: str) -> int:
@@ -66,17 +78,6 @@ def first_balancing_index(w: str) -> int:
     return k  # the sums reach half by j = k at the latest
 
 
-class SubsetListing(NamedTuple):
-    """Ordered candidate list for one balanced word; ``len`` counts its members, not its fields."""
-
-    y: str
-    members: tuple[str, ...]
-    includes_balanced: bool
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 @lru_cache(maxsize=65536)
 def _members(y: str) -> tuple[str, ...]:
     k, v = len(y), int(y, 2)
@@ -97,7 +98,7 @@ def _members(y: str) -> tuple[str, ...]:
     return tuple(format(m, f"0{k}b") for m in (*unbalanced, balanced))
 
 
-def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
+def subset_members(y: str, includes_balanced: bool) -> tuple[str, ...]:
     """All words whose first-index balancing lands on ``y``, in prefix order.
 
     Unbalanced members come first in ascending lexicographic order; the
@@ -108,8 +109,7 @@ def subset_members(y: str, includes_balanced: bool) -> SubsetListing:
     if not is_balanced(y):
         raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
     members = _members(y)  # one cached listing serves both forms
-    return SubsetListing(y=y, members=members if includes_balanced else members[:-1],
-                         includes_balanced=includes_balanced)
+    return members if includes_balanced else members[:-1]
 
 
 def subset_size_rds(y: str) -> int:
@@ -150,3 +150,20 @@ def encode_nibble(nibble: str) -> str:
     if len(nibble) != 4:
         raise ValueError(f"nibble must be 4 bits, got {len(nibble)}")
     return format(_sextet(int(nibble, 2)), "06b")
+
+
+def encode_packet(x: str, scheme: Scheme) -> str:
+    """Encode one information word into a self-contained packet."""
+    check_word(x)
+    value, p = BlockCodec(len(x), scheme).encode(int(x, 2))
+    return format(value, f"0{len(x) + p}b")
+
+
+def decode_packet(packet: str, k: int, scheme: Scheme) -> str:
+    """Decode one packet back to its information word.
+
+    The packet's length stands in for the end-of-packet marker, so the
+    variable-length prefix is ``len(packet) - k`` bits, and at least one.
+    """
+    check_word(packet)
+    return format(BlockCodec(k, scheme).decode(int(packet, 2), len(packet) - k), f"0{k}b")

@@ -28,14 +28,11 @@ from balpack.redundancy import (
     h_avg,
     h_prime,
 )
-from balpack.subsets import (
-    Scheme,
-    ceil_log2,
-    decode_packet,
-    encode_packet,
-)
+from balpack.subsets import Scheme, ceil_log2
 from balpack.words import (
+    decode_packet,
     encode_nibble,
+    encode_packet,
     first_balancing_index,
     invert_prefix,
     is_balanced,
@@ -90,16 +87,16 @@ def test_criterion_1_example_tables_exact():
     baseline_prefixes = [format(r, "02b") for r in range(3)]
     proposed_prefixes = [format(r, "01b") for r in range(2)]
     for y, expect in EXAMPLE1_UNCOMPRESSED.items():
-        baseline = subset_members(y, includes_balanced=True).members
-        proposed = subset_members(y, includes_balanced=False).members
+        baseline = subset_members(y, includes_balanced=True)
+        proposed = subset_members(y, includes_balanced=False)
         assert baseline == expect
         assert proposed == expect[:-1]
         for rank, member in enumerate(baseline):
             packet = encode_packet(member, Scheme.BASELINE_FL)
-            assert packet.bits == baseline_prefixes[rank] + y
+            assert packet == baseline_prefixes[rank] + y
         for rank, member in enumerate(proposed):
             packet = encode_packet(member, Scheme.PROPOSED_FL)
-            assert packet.bits == proposed_prefixes[rank] + y
+            assert packet == proposed_prefixes[rank] + y
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(1, f"k=4 subset tables and prefix assignments byte-exact "
@@ -170,8 +167,8 @@ def test_criterion_5_exhaustive_roundtrips_and_structure():
         for y in balanced_words(k):
             e = first_balancing_index(y)
             assert is_balanced(invert_prefix(y, e))  # balanced -> balanced
-            proposed = subset_members(y, includes_balanced=False).members
-            baseline = subset_members(y, includes_balanced=True).members
+            proposed = subset_members(y, includes_balanced=False)
+            baseline = subset_members(y, includes_balanced=True)
             assert 1 <= len(proposed) <= k // 2  # size bounds
             assert subset_size_rds(y) == len(proposed)  # running-sum size rule
             assert baseline[:-1] == proposed and is_balanced(baseline[-1])
@@ -194,7 +191,7 @@ def test_criterion_6_4b6b_table_and_overall_balance():
     for k in (4, 6, 8, 10, 12):
         for x in all_words(k):
             packet = encode_packet(x, Scheme.PROPOSED_FULL)
-            assert is_balanced(packet.bits)
+            assert is_balanced(packet)
             assert decode_packet(packet, k, Scheme.PROPOSED_FULL) == x
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -8,8 +8,8 @@ import pytest
 from balpack import fourb6b
 from balpack.errors import BalpackError, CorruptPacketError, InvalidSextetError
 from balpack.fourb6b import balance_rank, unbalance_rank
-from balpack.subsets import Packet, Scheme, decode_packet, encode_packet, prefix_length
-from balpack.words import encode_nibble, is_balanced
+from balpack.subsets import Scheme, prefix_length
+from balpack.words import decode_packet, encode_nibble, encode_packet, is_balanced
 
 FULL = Scheme.PROPOSED_FULL
 
@@ -107,7 +107,7 @@ def test_balance_prefix_rejects_empty():
     with pytest.raises(ValueError):
         encode_packet("10", FULL)
     with pytest.raises(ValueError):
-        decode_packet(Packet("10"), 2, FULL)
+        decode_packet("10", 2, FULL)
 
 
 def test_balance_prefix_output_balanced():
@@ -120,9 +120,9 @@ def test_balance_prefix_output_balanced():
 
 
 def test_full_encode_examples():
-    assert encode_packet("1111", FULL).bits == "011100" + "0011"
-    assert encode_packet("0101", FULL).bits == "0101"
-    assert decode_packet(Packet("0111000011"), 4, FULL) == "1111"
+    assert encode_packet("1111", FULL) == "011100" + "0011"
+    assert encode_packet("0101", FULL) == "0101"
+    assert decode_packet("0111000011", 4, FULL) == "1111"
 
 
 def test_full_packet_is_fl_packet_with_balanced_prefix():
@@ -130,11 +130,11 @@ def test_full_packet_is_fl_packet_with_balanced_prefix():
         r = prefix_length(k, Scheme.PROPOSED_FL)
         for bits in itertools.product("01", repeat=k):
             x = "".join(bits)
-            fl = encode_packet(x, Scheme.PROPOSED_FL).bits
+            fl = encode_packet(x, Scheme.PROPOSED_FL)
             width = 6 * ((r + 3) // 4)
             prefix = format(balance_rank(int(fl[:r], 2), r), f"0{width}b")
             expect = x if is_balanced(x) else prefix + fl[r:]
-            assert encode_packet(x, FULL).bits == expect
+            assert encode_packet(x, FULL) == expect
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 10])
@@ -143,26 +143,26 @@ def test_full_roundtrip_and_balance_exhaustive(k):
     for bits in itertools.product("01", repeat=k):
         x = "".join(bits)
         packet = encode_packet(x, FULL)
-        assert is_balanced(packet.bits)
-        assert packet.bit_length in (k, k + nbits)
+        assert is_balanced(packet)
+        assert len(packet) in (k, k + nbits)
         assert decode_packet(packet, k, FULL) == x
 
 
 def test_full_decode_errors():
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("0111"), 4, FULL)  # k bits but unbalanced
+        decode_packet("0111", 4, FULL)  # k bits but unbalanced
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("01110000110"), 4, FULL)  # 11 bits: no valid split
+        decode_packet("01110000110", 4, FULL)  # 11 bits: no valid split
     with pytest.raises(InvalidSextetError):
-        decode_packet(Packet("1110000011"), 4, FULL)  # prefix is not a codeword
+        decode_packet("1110000011", 4, FULL)  # prefix is not a codeword
     with pytest.raises(ValueError):
-        decode_packet(Packet("0101"), 3, FULL)
+        decode_packet("0101", 3, FULL)
 
 
 def test_full_decode_rejects_nonzero_padding():
     # r = 1 at k = 4, so three pad bits follow the rank bit; "1100" instead
     # of "1000" decodes to a valid sextet whose padding is not all zero
-    packet = Packet(encode_nibble("1100") + "0011")
+    packet = encode_nibble("1100") + "0011"
     with pytest.raises(CorruptPacketError):
         decode_packet(packet, 4, FULL)
 

@@ -1,5 +1,6 @@
 """The package namespace and the record types it exports."""
 
+import doctest
 import importlib
 import importlib.util
 from pathlib import Path
@@ -7,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import balpack
-from balpack import invariants
+from balpack import invariants, subsets, words
 from balpack.counting import CountTable
 from balpack.redundancy import RedundancyRow
 from balpack.stream import StreamHeader
-from balpack.subsets import Packet, Scheme
-from balpack.words import SubsetListing, subset_members
+from balpack.subsets import Scheme
+from balpack.words import subset_members
 
 
 def test_every_exported_name_is_its_home_modules_object():
@@ -27,12 +28,26 @@ def test_star_import_and_unknown_names():
     namespace = {}
     exec("from balpack import *", namespace)
     assert namespace["selfcheck"] is invariants.selfcheck
-    assert namespace["Packet"] is Packet
+    assert namespace["encode_packet"] is words.encode_packet
     assert {name for name in namespace if name != "__builtins__"} == set(balpack.__all__)
     with pytest.raises(AttributeError):
         balpack.no_such_name
     with pytest.raises(ImportError):
         exec("from balpack import no_such_name", {})
+
+
+def test_readme_library_example_is_a_passing_doctest():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted and not result.failed
+
+
+def test_the_codec_kernel_defines_no_string_adapter():
+    """Bit strings live in ``words``; ``subsets`` takes and returns integers only."""
+    for name in ("check_word", "Packet", "encode_packet", "decode_packet"):
+        assert not hasattr(subsets, name), name
+    for name in ("Packet", "SubsetListing"):
+        assert name not in balpack.__all__ and not hasattr(words, name), name
 
 
 def tracer_sites():
@@ -69,8 +84,6 @@ def test_the_benchmark_tracers_live_hooks_resolve():
 
 
 RECORDS = [
-    (Packet, {"bits": "10011"}),
-    (SubsetListing, {"y": "0011", "members": ("1011", "1111"), "includes_balanced": False}),
     (StreamHeader, {"k": 16, "scheme": Scheme.KNUTH, "pad_mode": False,
                     "payload_bit_count": 32}),
     (CountTable, {"k": 4, "counts": {1: 2, 2: 4}}),
@@ -87,14 +100,6 @@ def test_records_are_immutable_values_built_by_keyword(cls, fields):
         assert getattr(record, name) == value
         with pytest.raises(AttributeError):
             setattr(record, name, value)
-
-
-def test_packet_repr_and_validation():
-    assert repr(Packet(bits="10011")) == "Packet(bits='10011')"
-    assert Packet("10011").bit_length == 5
-    for bad in ("", "1021", 5):
-        with pytest.raises(ValueError):
-            Packet(bad)
 
 
 def test_subset_listing_length_counts_members():

@@ -35,8 +35,8 @@ from balpack.stream import (
     frame_stream,
 )
 from balpack.invariants import selfcheck
-from balpack.subsets import Packet, Scheme, ceil_log2, decode_packet, encode_packet
-from balpack.words import is_balanced
+from balpack.subsets import Scheme, ceil_log2
+from balpack.words import decode_packet, encode_packet, is_balanced
 
 ALL_SCHEMES = list(Scheme)
 
@@ -305,7 +305,7 @@ def reference_frame_stream(bits, k, scheme, pad_mode):
                        payload_bit_count=original).pack()
     for start in range(0, len(bits), k):
         packet = encode_packet(bits[start : start + k], scheme)
-        out += encode_varint(packet.bit_length) + bits_to_bytes(packet.bits)
+        out += encode_varint(len(packet)) + bits_to_bytes(packet)
     return out
 
 
@@ -316,7 +316,7 @@ def reference_deframe_stream(data):
         bit_length, offset = decode_varint(data, offset)
         nbytes = (bit_length + 7) // 8
         bits = bytes_to_bits(data[offset : offset + nbytes], bit_length)
-        decoded.append(decode_packet(Packet(bits), header.k, header.scheme))
+        decoded.append(decode_packet(bits, header.k, header.scheme))
         offset += nbytes
     return "".join(decoded)[: header.payload_bit_count]
 
@@ -515,7 +515,7 @@ def test_measured_average_prefix_bits_matches_enumeration():
     total = 0
     for _ in range(trials):
         x = format(rng.getrandbits(k), f"0{k}b")
-        total += encode_packet(x, Scheme.PROPOSED_VL).bit_length - k
+        total += len(encode_packet(x, Scheme.PROPOSED_VL)) - k
     sample_mean = total / trials
     assert abs(sample_mean - mean) <= 3 * sigma / math.sqrt(trials)
 

@@ -12,15 +12,14 @@ from balpack.errors import BalpackError, CorruptPacketError
 from balpack.fourb6b import balance_rank
 from balpack.subsets import (
     BlockCodec,
-    Packet,
     Scheme,
     ceil_log2,
-    decode_packet,
-    encode_packet,
     level_index,
     prefix_length,
 )
 from balpack.words import (
+    decode_packet,
+    encode_packet,
     first_balancing_index,
     invert_prefix,
     is_balanced,
@@ -56,14 +55,12 @@ def balanced_words(k):
 
 def test_k4_baseline_listings():
     for y, expect in K4_BASELINE.items():
-        listing = subset_members(y, includes_balanced=True)
-        assert listing.members == expect
-        assert listing.y == y and listing.includes_balanced
+        assert subset_members(y, includes_balanced=True) == expect
 
 
 def test_k4_proposed_listings():
     for y, expect in K4_BASELINE.items():
-        assert subset_members(y, includes_balanced=False).members == expect[:-1]
+        assert subset_members(y, includes_balanced=False) == expect[:-1]
 
 
 def test_subset_members_rejects_unbalanced():
@@ -141,54 +138,54 @@ def test_prefix_length_bad_arguments():
 
 
 def test_encode_packet_examples():
-    assert encode_packet("1111", Scheme.PROPOSED_FL).bits == "10011"
-    assert encode_packet("0101", Scheme.PROPOSED_FL).bits == "0101"
-    assert encode_packet("1100", Scheme.BASELINE_FL).bits == "100011"
+    assert encode_packet("1111", Scheme.PROPOSED_FL) == "10011"
+    assert encode_packet("0101", Scheme.PROPOSED_FL) == "0101"
+    assert encode_packet("1100", Scheme.BASELINE_FL) == "100011"
 
 
 def test_encode_packet_knuth_matches_codec():
-    assert encode_packet("1011", Scheme.KNUTH).bits == "000011"
-    assert decode_packet(Packet("000011"), 4, Scheme.KNUTH) == "1011"
+    assert encode_packet("1011", Scheme.KNUTH) == "000011"
+    assert decode_packet("000011", 4, Scheme.KNUTH) == "1011"
 
 
 def test_encode_packet_balanced_word_gets_baseline_prefix():
     # balanced words are ranked last in their own uncompressed subset
-    assert encode_packet("0011", Scheme.BASELINE_FL).bits == "10" + "1100"
+    assert encode_packet("0011", Scheme.BASELINE_FL) == "10" + "1100"
 
 
 def test_vl_prefix_has_one_bit_floor():
     # 1101 is the lone compressed member under 0101: rank 0 still costs a bit
     packet = encode_packet("1101", Scheme.PROPOSED_VL)
-    assert packet.bits == "0" + "0101"
+    assert packet == "0" + "0101"
     assert decode_packet(packet, 4, Scheme.PROPOSED_VL) == "1101"
 
 
 def test_decode_packet_examples():
-    assert decode_packet(Packet("10011"), 4, Scheme.PROPOSED_FL) == "1111"
-    assert decode_packet(Packet("0101"), 4, Scheme.PROPOSED_VL) == "0101"
+    assert decode_packet("10011", 4, Scheme.PROPOSED_FL) == "1111"
+    assert decode_packet("0101", 4, Scheme.PROPOSED_VL) == "0101"
 
 
 def test_decode_packet_rank_out_of_range():
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("110011"), 4, Scheme.BASELINE_FL)
+        decode_packet("110011", 4, Scheme.BASELINE_FL)
 
 
 def test_decode_packet_unbalanced_payload():
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("11011"), 4, Scheme.PROPOSED_FL)
+        decode_packet("11011", 4, Scheme.PROPOSED_FL)
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("0111"), 4, Scheme.PROPOSED_VL)
+        decode_packet("0111", 4, Scheme.PROPOSED_VL)
 
 
 def test_decode_packet_vl_length_mismatch():
     # two prefix bits over a subset of size one cannot come from the encoder
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("00" + "0101"), 4, Scheme.PROPOSED_VL)
+        decode_packet("00" + "0101", 4, Scheme.PROPOSED_VL)
 
 
 def test_decode_packet_wrong_total_length():
     with pytest.raises(CorruptPacketError):
-        decode_packet(Packet("110011"), 4, Scheme.PROPOSED_FL)
+        decode_packet("110011", 4, Scheme.PROPOSED_FL)
 
 
 def test_encode_packet_domain_errors():
@@ -240,8 +237,8 @@ def test_partition_properties(k):
     proposed_seen = []
     baseline_seen = []
     for y in balanced_words(k):
-        proposed = subset_members(y, includes_balanced=False).members
-        baseline = subset_members(y, includes_balanced=True).members
+        proposed = subset_members(y, includes_balanced=False)
+        baseline = subset_members(y, includes_balanced=True)
         assert 1 <= len(proposed) <= k // 2
         assert not any(is_balanced(m) for m in proposed)
         assert is_balanced(baseline[-1]) and baseline[:-1] == proposed
@@ -255,7 +252,7 @@ def test_partition_properties(k):
 def test_packet_length_property():
     for k in (4, 6, 8):
         for x in all_words(k):
-            n = encode_packet(x, Scheme.PROPOSED_VL).bit_length
+            n = len(encode_packet(x, Scheme.PROPOSED_VL))
             assert n == k or k + 1 <= n <= k + prefix_length(k, Scheme.PROPOSED_FL)
 
 
@@ -263,10 +260,10 @@ def test_packet_length_property():
 def test_member_order_matches_listing_oracle(k):
     for y in balanced_words(k):
         members = tuple(invert_prefix(y, j) for j in member_order(int(y, 2), k))
-        assert members == subset_members(y, includes_balanced=False).members
+        assert members == subset_members(y, includes_balanced=False)
         # BASELINE_FL's balanced member inverts up to y's first return to zero
         balanced = invert_prefix(y, first_balancing_index(y))
-        assert (*members, balanced) == subset_members(y, includes_balanced=True).members
+        assert (*members, balanced) == subset_members(y, includes_balanced=True)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 14])
@@ -297,7 +294,7 @@ def test_byte_walk_matches_listing_oracle(data):
     assert level_index(y, k, 0) == first_balancing_index(word)
     order = member_order(y, k)
     members = tuple(format(y ^ (((1 << j) - 1) << (k - j)), f"0{k}b") for j in order)
-    assert members == subset_members(word, includes_balanced=False).members
+    assert members == subset_members(word, includes_balanced=False)
     # the decode walk names each listing entry, and none past the end
     for rank in range(len(order) + 2):
         e = order[rank] if rank < len(order) else None
@@ -311,11 +308,11 @@ def test_unrank_matches_listing_oracle(k):
     # oracle's entry, ranks past the end of the listing are corrupt.
     for y in balanced_words(k):
         for scheme in (Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL):
-            members = subset_members(y, scheme is Scheme.BASELINE_FL).members
+            members = subset_members(y, scheme is Scheme.BASELINE_FL)
             lam = len(members) if scheme is Scheme.PROPOSED_VL else None
             nbits = prefix_length(k, scheme, lam)
             for rank in range(min(len(members) + 2, 1 << nbits)):
-                packet = Packet(format(rank, f"0{nbits}b") + y)
+                packet = format(rank, f"0{nbits}b") + y
                 if rank < len(members):
                     assert decode_packet(packet, k, scheme) == members[rank]
                 else:
@@ -388,32 +385,32 @@ def test_encode_rank_matches_listing_oracle(data):
     x = format(data.draw(st.integers(0, 2**k - 1)), f"0{k}b")
     nbits = prefix_length(k, Scheme.BASELINE_FL)
     packet = encode_packet(x, Scheme.BASELINE_FL)
-    rank, y = int(packet.bits[:nbits], 2), packet.bits[nbits:]
-    assert rank == subset_members(y, includes_balanced=True).members.index(x)
+    rank, y = int(packet[:nbits], 2), packet[nbits:]
+    assert rank == subset_members(y, includes_balanced=True).index(x)
     assert decode_packet(packet, k, Scheme.BASELINE_FL) == x
     # every ranked prefix of an unbalanced x, then every rank below each
     # scheme's subset size decodes to that listing entry
-    members = subset_members(y, includes_balanced=True).members
+    members = subset_members(y, includes_balanced=True)
     lam = len(members) - 1
     vl = encode_packet(x, Scheme.PROPOSED_VL)
     if is_balanced(x):
-        assert vl.bits == x
+        assert vl == x
     else:
         index = members.index(x)
-        p = vl.bit_length - k
+        p = len(vl) - k
         assert p == prefix_length(k, Scheme.PROPOSED_VL, lam)
-        assert (int(vl.bits[:p], 2), vl.bits[p:]) == (index, y)
+        assert (int(vl[:p], 2), vl[p:]) == (index, y)
         fl_bits = prefix_length(k, Scheme.PROPOSED_FL)
-        fl = encode_packet(x, Scheme.PROPOSED_FL).bits
+        fl = encode_packet(x, Scheme.PROPOSED_FL)
         assert (int(fl[:fl_bits], 2), fl[fl_bits:]) == (index, y)
         full_bits = prefix_length(k, Scheme.PROPOSED_FULL)
-        full = encode_packet(x, Scheme.PROPOSED_FULL).bits
+        full = encode_packet(x, Scheme.PROPOSED_FULL)
         assert (int(full[:full_bits], 2), full[full_bits:]) == (balance_rank(index, fl_bits), y)
     for scheme in (Scheme.BASELINE_FL, Scheme.PROPOSED_FL, Scheme.PROPOSED_VL):
         size = lam + (scheme is Scheme.BASELINE_FL)
         nbits = prefix_length(k, scheme, lam if scheme is Scheme.PROPOSED_VL else None)
         for rank in range(size):
-            packet = Packet(format(rank, f"0{nbits}b") + y)
+            packet = format(rank, f"0{nbits}b") + y
             assert decode_packet(packet, k, scheme) == members[rank]
 
 
@@ -431,11 +428,11 @@ def test_balanced_block_ranks_last_or_travels_bare(k, scheme):
         packet = encode_packet(x, scheme)
         if scheme is Scheme.BASELINE_FL:
             nbits = prefix_length(k, scheme)
-            rank, y = int(packet.bits[:nbits], 2), packet.bits[nbits:]
+            rank, y = int(packet[:nbits], 2), packet[nbits:]
             assert rank == subset_size_rds(y)
-            assert subset_members(y, includes_balanced=True).members[rank] == x
+            assert subset_members(y, includes_balanced=True)[rank] == x
         else:
-            assert packet.bits == x
+            assert packet == x
         assert decode_packet(packet, k, scheme) == x
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpack.subsets import level_index
+from balpack.subsets import Scheme, level_index
 from balpack.words import (
+    decode_packet,
     disparity,
+    encode_packet,
     first_balancing_index,
     invert_prefix,
     is_balanced,
@@ -60,6 +62,18 @@ def test_disparity_rejects_empty_and_junk():
         disparity("")
     with pytest.raises(ValueError):
         disparity("01a1")
+
+
+#: What ``int(s, 2)`` takes but no bit literal is, then the empty word and a non-str.
+NOT_WORDS = ["0_01", " 0101 ", "0101\n", "+0101", "\u0660\u0661\u0660\u0661", "", b"0101", 5]
+
+
+@pytest.mark.parametrize("bad", NOT_WORDS)
+def test_packet_adapters_reject_what_is_no_word(bad):
+    with pytest.raises(ValueError, match="^word "):
+        encode_packet(bad, Scheme.PROPOSED_FL)
+    with pytest.raises(ValueError, match="^word "):
+        decode_packet(bad, 4, Scheme.PROPOSED_FL)
 
 
 def test_invert_prefix_examples():
