@@ -10,8 +10,6 @@ per block, and a collector pass would walk the objects import and the byte
 table left behind and free nothing.  Library callers keep their own setting.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
@@ -27,10 +25,14 @@ DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 def _write(path: str, data: bytes) -> None:
     """Overwrite ``path`` in place: ext4 flushes a file truncated to zero on close."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
-        out.write(data)
-        if os.fstat(out.fileno()).st_size > len(data):  # an older, longer file
-            out.truncate()
+    fd, view = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):  # an older, longer file
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _cmd_encode(scheme: str, k: int, pad: bool, infile: str, outfile: str) -> int:
@@ -110,53 +112,60 @@ def _is_option(token: str) -> bool:
     return token.startswith("-") and token != "-" and not token[1:2].isdigit()
 
 
-def _fail(usage: str, message: str) -> SystemExit:
-    print(f"{usage}\nbalpack: error: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
-def _parse(table: dict[str, tuple], argv: list[str]) -> tuple[str, dict[str, object]]:
-    """The command ``argv`` names and its handler's keywords; exits 0 after help, 2 on misuse."""
-    top = f"usage: balpack [-h] {{{','.join(table)}}} ..."
-    if argv[:1] in (["-h"], ["--help"]):
-        print(top, "", *(f"  {name:<10} {row[0]}" for name, row in table.items()), sep="\n")
-        raise SystemExit(0)
-    if not argv or argv[0] not in table:
-        raise _fail(top, f"invalid command {argv[0]!r}" if argv else "a command is required")
-    command, tokens = argv[0], iter(argv[1:])
-    help_line, options, defaults, positionals = table[command]
+def _usage(table: dict[str, tuple], command: str | None = None) -> str:
+    """The usage line of ``command``, or of balpack when None; built only to be printed."""
+    if command is None:
+        return f"usage: balpack [-h] {{{','.join(table)}}} ..."
+    _, options, defaults, positionals = table[command]
     words = [f"usage: balpack {command} [-h]"]
     for name, kind in options.items():
         metavar = ("" if kind is None else " {" + ",".join(kind) + "}" if isinstance(kind, tuple)
                    else " " + name[2:].upper().replace("-", "_"))
         words.append(f"[{name}{metavar}]" if name in defaults else name + metavar)
-    usage, values, given = " ".join(words + list(positionals)), dict(defaults), []
+    return " ".join(words + list(positionals))
+
+
+def _fail(table: dict[str, tuple], message: str, command: str | None = None) -> SystemExit:
+    print(f"{_usage(table, command)}\nbalpack: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
+def _parse(table: dict[str, tuple], argv: list[str]) -> tuple[str, dict[str, object]]:
+    """The command ``argv`` names and its handler's keywords; exits 0 after help, 2 on misuse."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_usage(table), "", *(f"  {name:<10} {table[name][0]}" for name in table), sep="\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in table:
+        raise _fail(table, f"invalid command {argv[0]!r}" if argv else "a command is required")
+    command, tokens = argv[0], iter(argv[1:])
+    help_line, options, defaults, positionals = table[command]
+    values, given = dict(defaults), []
     for token in tokens:
         name, eq, value = token.partition("=")
         if token in ("-h", "--help"):
-            print(usage, "", help_line, sep="\n")
+            print(_usage(table, command), "", help_line, sep="\n")
             raise SystemExit(0)
         if not _is_option(token):
             given.append(token)
         elif name not in options or eq and options[name] is None:
-            raise _fail(usage, f"unrecognized arguments: {token}")
+            raise _fail(table, f"unrecognized arguments: {token}", command)
         elif (kind := options[name]) is None:
             values[name] = True
         elif not eq and _is_option(value := next(tokens, "--")):  # "--name value" needs a value
-            raise _fail(usage, f"argument {name}: expected one argument")
+            raise _fail(table, f"argument {name}: expected one argument", command)
         elif isinstance(kind, tuple) and value not in kind:
-            raise _fail(usage, f"argument {name}: invalid choice: {value!r} "
-                               f"(choose from {', '.join(kind)})")
+            raise _fail(table, f"argument {name}: invalid choice: {value!r} "
+                               f"(choose from {', '.join(kind)})", command)
         else:
             try:
                 values[name] = value if isinstance(kind, tuple) else kind(value)
             except ValueError as exc:
-                raise _fail(usage, f"argument {name}: {exc}") from None
+                raise _fail(table, f"argument {name}: {exc}", command) from None
     missing = [name for name in options if name not in values] + list(positionals[len(given):])
     if missing:
-        raise _fail(usage, f"the following arguments are required: {', '.join(missing)}")
+        raise _fail(table, f"the following arguments are required: {', '.join(missing)}", command)
     if len(given) > len(positionals):
-        raise _fail(usage, f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+        raise _fail(table, f"unrecognized arguments: {' '.join(given[len(positionals):])}", command)
     keywords = {name[2:].replace("-", "_"): value for name, value in values.items()}
     return command, keywords | dict(zip(positionals, given))
 

@@ -17,8 +17,6 @@ extended precision because its three nearly equal terms cancel down by a
 factor of about 2**k.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from functools import lru_cache

@@ -13,8 +13,6 @@ rule works on integers; its one string form, for the self-check, is
 :func:`balpack.words.encode_nibble`.
 """
 
-from __future__ import annotations
-
 from .errors import CorruptPacketError, InvalidSextetError
 
 #: Suffix naming the inversion index e = 1..4 (entry e - 1), by the nibble's
@@ -35,7 +33,7 @@ def _sextet(nibble: int) -> int:
 #: The rule's sixteen outputs, by nibble, and their inverse over all 64 sextet
 #: values, None marking the 48 non-codewords; the codec only indexes these.
 _SEXTETS = tuple(_sextet(nibble) for nibble in range(16))
-_NIBBLES = tuple(_SEXTETS.index(s) if s in _SEXTETS else None for s in range(64))
+_NIBBLES = tuple(map({s: nibble for nibble, s in enumerate(_SEXTETS)}.get, range(64)))
 
 
 def balance_rank(rank: int, r: int) -> int:

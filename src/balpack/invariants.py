@@ -4,8 +4,6 @@ It lives apart from the codec so that encoding and decoding never load the
 enumeration oracles it runs.
 """
 
-from __future__ import annotations
-
 import math
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple

@@ -6,8 +6,6 @@ without the gcd.  At k = 1024 both numerators and denominators overflow a
 double on their own, while every ratio is a tame number in [0, 1].
 """
 
-from __future__ import annotations
-
 import csv
 import math
 from typing import Callable, Iterable, NamedTuple, TextIO

@@ -13,39 +13,41 @@ kernel :class:`balpack.subsets.BlockCodec`, and no bit string is built.
 :func:`frame_stream` / :func:`deframe_stream` are its checking string adapters.
 """
 
-from __future__ import annotations
-
-import math
-import struct
-from typing import NamedTuple
+from operator import itemgetter
 
 from .errors import BalpackError, InputLengthError, StreamCorruptError
 from .subsets import BlockCodec, Scheme
 
 MAGIC = b"BPK1"
-_HEADER = struct.Struct(">4sHBBQ")  # magic, k, scheme, pad flag, payload bit count
+HEADER_SIZE = 16  # magic (4 bytes), k (2), scheme (1), pad flag (1), payload bits (8), big-endian
 MAX_K = 0xFFFE  # the largest even k the 16-bit header field holds
 _CHECK_SLICE = 1 << 16  # input characters checked per copy
 
 
-class StreamHeader(NamedTuple):
-    k: int
-    scheme: Scheme
-    pad_mode: bool
-    payload_bit_count: int
+class StreamHeader(tuple):
+    """The fields after the magic: an immutable 4-tuple built by position or by keyword."""
+
+    __slots__ = ()
+    k, scheme, pad_mode, payload_bit_count = (property(itemgetter(i)) for i in range(4))
+
+    def __new__(cls, k: int, scheme: Scheme, pad_mode: bool, payload_bit_count: int):
+        return tuple.__new__(cls, (k, scheme, pad_mode, payload_bit_count))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with the four fields
+        return tuple(self)
 
     def pack(self) -> bytes:
-        return _HEADER.pack(
-            MAGIC, self.k, self.scheme.value, int(self.pad_mode), self.payload_bit_count
-        )
+        k, scheme, pad, nbits = self
+        return MAGIC + k.to_bytes(2, "big") + bytes((scheme.value, pad)) + nbits.to_bytes(8, "big")
 
     @classmethod
     def unpack(cls, data: bytes) -> "StreamHeader":
-        if len(data) < _HEADER.size:
+        if len(data) < HEADER_SIZE:
             raise StreamCorruptError("truncated stream header")
-        magic, k, scheme_id, pad, nbits = _HEADER.unpack_from(data)
-        if magic != MAGIC:
-            raise StreamCorruptError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if data[:4] != MAGIC:
+            raise StreamCorruptError(f"bad magic {bytes(data[:4])!r}, expected {MAGIC!r}")
+        k, scheme_id, pad = int.from_bytes(data[4:6], "big"), data[6], data[7]
+        nbits = int.from_bytes(data[8:HEADER_SIZE], "big")
         try:
             scheme = Scheme(scheme_id)
             BlockCodec(k, scheme)  # the codec's own limits on k
@@ -53,7 +55,7 @@ class StreamHeader(NamedTuple):
             raise StreamCorruptError(f"bad header: {exc}") from None
         if pad > 1 or (not pad and nbits % k):
             raise StreamCorruptError(f"bad header: pad flag {pad}, {nbits} bits, k={k}")
-        return cls(k=k, scheme=scheme, pad_mode=bool(pad), payload_bit_count=nbits)
+        return cls(k, scheme, bool(pad), nbits)
 
 
 def encode_varint(value: int) -> bytes:
@@ -98,7 +100,8 @@ def bytes_to_bits(data: bytes, bit_count: int) -> str:
 
 def _chunk(k: int) -> tuple[int, int]:
     """Bytes and blocks per int conversion: whole blocks in whole bytes, 512 bits or more."""
-    bits = -(-512 // math.lcm(k, 8)) * math.lcm(k, 8)
+    lcm = 8 * k // min(k & -k, 8)  # lcm(k, 8): gcd(k, 8) is the lowest set bit of k, capped
+    bits = -(-512 // lcm) * lcm
     return bits // 8, bits // k
 
 
@@ -120,8 +123,7 @@ def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
     if bit_count % k and not pad_mode:
         raise InputLengthError(f"{bit_count} input bits is not a multiple of k={k} "
                                "and padding is off")
-    header = StreamHeader(k=k, scheme=scheme, pad_mode=pad_mode, payload_bit_count=bit_count)
-    out = bytearray(header.pack())
+    out = bytearray(StreamHeader(k, scheme, pad_mode, bit_count).pack())
     # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
     shapes = []
     for n in range(k, k + codec.max_prefix + 1):
@@ -158,7 +160,7 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
     shapes = {n: ((n + 7) // 8, -n % 8, (1 << -n % 8) - 1, n - k)
               for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
-    frames, end, offset = -(-payload // k), len(data), _HEADER.size
+    frames, end, offset = -(-payload // k), len(data), HEADER_SIZE
     out = bytearray()
     for first in range(0, frames, per_chunk):
         group = 0

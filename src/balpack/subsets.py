@@ -51,8 +51,6 @@ streams are checked once per stream, and the checking bit-string adapters
 live off the codec path.
 """
 
-from __future__ import annotations
-
 import enum
 
 from .errors import CorruptPacketError

@@ -15,8 +15,6 @@ and :func:`encode_nibble` the 4B6B rule of :mod:`balpack.fourb6b`.
 block of it through the integer kernel, :class:`balpack.subsets.BlockCodec`.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 
 from .fourb6b import _sextet

@@ -1,10 +1,14 @@
 """Framing, self-check and CLI tests."""
 
+import copy
 import gc
 import hashlib
+import itertools
 import math
 import os
+import pickle
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -75,10 +79,35 @@ def test_bit_packing_msb_first():
 
 
 def test_header_roundtrip():
-    header = StreamHeader(k=64, scheme=Scheme.PROPOSED_VL, pad_mode=True,
-                          payload_bit_count=12345)
-    assert StreamHeader.unpack(header.pack()) == header
-    assert header.pack()[:4] == MAGIC
+    """``pack`` is ``struct.pack(">4sHBBQ", ...)`` for every scheme and pad flag, up to each
+    field's maximum, and ``unpack`` inverts it; the header is a hashable, picklable 4-tuple."""
+    for scheme, pad_mode in itertools.product(ALL_SCHEMES, (False, True)):
+        for k, payload_bit_count in [(MAX_K, 2**64 - 1), (MAX_K, 0), (MAX_K, MAX_K * 3),
+                                     (64, 12345), (16, 2**64 - 16)]:
+            header = StreamHeader(k, scheme, pad_mode, payload_bit_count)
+            packed = header.pack()
+            assert packed == struct.pack(">4sHBBQ", MAGIC, k, scheme.value, pad_mode,
+                                         payload_bit_count)
+            if payload_bit_count % k and not pad_mode:  # a ragged payload needs the pad flag
+                with pytest.raises(StreamCorruptError, match="pad flag 0"):
+                    StreamHeader.unpack(packed)
+            else:
+                assert StreamHeader.unpack(packed) == header
+                assert StreamHeader.unpack(bytearray(packed) + b"tail") == header
+            assert header == StreamHeader(k=k, scheme=scheme, pad_mode=pad_mode,
+                                          payload_bit_count=payload_bit_count)
+            assert hash(header) == hash((k, scheme, pad_mode, payload_bit_count))
+            got_k, got_scheme, got_pad, got_bits = header
+            assert (got_k, got_scheme, got_pad, got_bits) == (k, scheme, pad_mode,
+                                                              payload_bit_count)
+            assert (header.k, header.scheme, header.pad_mode, header.payload_bit_count) == (
+                k, scheme, pad_mode, payload_bit_count)
+            assert copy.copy(header) == pickle.loads(pickle.dumps(header)) == header
+            assert type(pickle.loads(pickle.dumps(header))) is StreamHeader
+    with pytest.raises(AttributeError):
+        header.extra = 1
+    with pytest.raises(TypeError):
+        StreamHeader(k, scheme, pad_mode)
 
 
 def test_header_corruption():
@@ -620,6 +649,23 @@ def test_cli_output_overwrites_existing_files_exactly(tmp_path):
         assert out.read_bytes() == payload
 
 
+def test_cli_write_finishes_short_writes(tmp_path, monkeypatch):
+    """``os.write`` may take part of its buffer; the writer goes on from where it stopped."""
+    target, sizes = tmp_path / "out.bin", []
+    target.write_bytes(b"\xff" * 1000)
+    real_write = os.write
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data[:7])
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    payload = random.Random(7).randbytes(100)
+    cli._write(str(target), payload)
+    assert target.read_bytes() == payload
+    assert sizes == list(range(100, 0, -7))
+
+
 def test_cli_decode_to_a_device(tmp_path):
     src, enc = tmp_path / "input.bin", tmp_path / "stream.bpk"
     src.write_bytes(b"abcd")
@@ -834,11 +880,12 @@ def test_cli_import_loads_only_the_codec_path():
     """
     unwanted = ["argparse", "gettext", "dataclasses", "inspect", "fractions", "decimal", "csv",
                 "mpmath", "balpack.counting", "balpack.redundancy", "balpack.invariants",
-                "balpack.knuth", "balpack.words"]
+                "balpack.knuth", "balpack.words",
+                "typing", "__future__", "re", "struct", "math", "contextlib"]
     code = f"import sys, balpack.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     src_dir = Path(balpack.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+    result = subprocess.run(  # -S: no site module, whose .pth files may load these first
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == "[]"
