@@ -13,9 +13,8 @@ in :mod:`balpack.subsets`; the per-bit :func:`first_balancing_index` and
 and :func:`encode_nibble` the 4B6B rule of :mod:`balpack.fourb6b`.
 :func:`encode_packet` and :func:`decode_packet` check a word and run one
 block of it through the integer kernel, :class:`balpack.subsets.BlockCodec`.
+Nothing here is cached: each call builds its listing afresh.
 """
-
-from functools import lru_cache
 
 from .fourb6b import _sextet
 from .subsets import BlockCodec, Scheme, _decode_rank, level_index
@@ -76,8 +75,16 @@ def first_balancing_index(w: str) -> int:
     return k  # the sums reach half by j = k at the latest
 
 
-@lru_cache(maxsize=65536)
-def _members(y: str) -> tuple[str, ...]:
+def subset_members(y: str, includes_balanced: bool) -> tuple[str, ...]:
+    """All words whose first-index balancing lands on ``y``, in prefix order.
+
+    Unbalanced members come first in ascending lexicographic order; the
+    unique balanced member is appended last when ``includes_balanced`` is
+    set (the uncompressed baseline listing) and omitted otherwise.
+    """
+    check_word(y)
+    if not is_balanced(y):
+        raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
     k, v = len(y), int(y, 2)
     unbalanced, balanced = [], None
     for j in range(1, k + 1):
@@ -93,21 +100,8 @@ def _members(y: str) -> tuple[str, ...]:
             unbalanced.append(cand)
     assert balanced is not None, f"no balanced member under {y!r}"
     unbalanced.sort()  # equal-length words sort as their values
-    return tuple(format(m, f"0{k}b") for m in (*unbalanced, balanced))
-
-
-def subset_members(y: str, includes_balanced: bool) -> tuple[str, ...]:
-    """All words whose first-index balancing lands on ``y``, in prefix order.
-
-    Unbalanced members come first in ascending lexicographic order; the
-    unique balanced member is appended last when ``includes_balanced`` is
-    set (the uncompressed baseline listing) and omitted otherwise.
-    """
-    check_word(y)
-    if not is_balanced(y):
-        raise ValueError(f"subset listings exist only for balanced words, got {y!r}")
-    members = _members(y)  # one cached listing serves both forms
-    return members if includes_balanced else members[:-1]
+    members = (*unbalanced, balanced) if includes_balanced else unbalanced
+    return tuple(format(m, f"0{k}b") for m in members)
 
 
 def subset_size_rds(y: str) -> int:

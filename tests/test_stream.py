@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import itertools
+import json
 import math
 import os
 import pickle
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import cli, invariants
+from balpack import cli, counting, invariants
 from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
@@ -601,6 +603,49 @@ def test_selfcheck_names_each_checks_own_counterexample(monkeypatch):
     }
 
 
+def test_selfcheck_lists_each_balanced_word_once(monkeypatch):
+    """One pass per k: one listing per balanced word, and the brute-force counts come from it."""
+    listed = Counter()
+    subset_members = invariants.subset_members
+
+    def counted(y, includes_balanced):
+        listed[y] += 1
+        return subset_members(y, includes_balanced)
+
+    def second_enumeration(*args, **kwargs):
+        raise AssertionError(f"selfcheck enumerated again: {args} {kwargs}")
+
+    monkeypatch.setattr(invariants, "subset_members", counted)
+    monkeypatch.setattr(counting, "subset_members", second_enumeration)
+    monkeypatch.setattr(counting, "subset_size_count_bruteforce", second_enumeration)
+    assert selfcheck(10).all_passed
+    assert not hasattr(invariants, "subset_size_count_bruteforce")
+    # k = 4 words are listed again by the worked-example check
+    assert {y: n for y, n in listed.items() if len(y) >= 6} == Counter(
+        y for k in (6, 8, 10) for y in counting.balanced_words(k))
+
+
+def test_selfcheck_leaves_no_cache_entries():
+    """After a selfcheck no ``functools`` cache in a loaded balpack module holds an entry."""
+    code = (
+        "import json, sys\n"
+        "from balpack.cli import main\n"
+        "assert main(['selfcheck', '--k-max', '10']) == 0\n"
+        "held = {f'{name}.{attr}': value.cache_info().currsize\n"
+        "        for name, module in list(sys.modules.items()) if name.split('.')[0] == 'balpack'\n"
+        "        for attr, value in vars(module).items()\n"
+        "        if callable(getattr(value, 'cache_info', None))}\n"
+        "print(json.dumps(held), file=sys.stderr)\n"
+    )
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": str(src_dir)})
+    assert result.returncode == 0, result.stderr
+    held = json.loads(result.stderr.splitlines()[-1])
+    assert "balpack.counting._bruteforce_table" in held  # the probe sees the caches there are
+    assert not any(held.values()), held
+
+
 # --- CLI ---
 
 
@@ -772,6 +817,22 @@ def test_cli_selfcheck(capsys):
     assert "PASS" in out and "FAIL" not in out.replace("FAILED", "")
     assert "NOTE" in out
     assert main(["selfcheck", "--k-max", "99"]) == 1
+
+
+TABLES_K_LIST = ",".join(str(4 << i) for i in range(10))  # 4, 8, ..., 2048
+
+
+@pytest.mark.parametrize("what", ["selfcheck", "table1", "nlambda", "fig2", "fig3"])
+def test_cli_analytics_output_matches_the_pinned_digests(capsys, what):
+    """The selfcheck and tables output, byte for byte, as pinned in the benchmark's digests."""
+    digests = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json")
+                         .read_text())
+    if what == "selfcheck":
+        argv, want = ["selfcheck", "--k-max", "14"], digests["selfcheck"]
+    else:
+        argv, want = ["tables", "--what", what, "--k-list", TABLES_K_LIST], digests["tables"][what]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("argv, problem", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balpack import subsets, words
+from balpack import subsets
 from balpack.errors import BalpackError, CorruptPacketError
 from balpack.fourb6b import balance_rank
 from balpack.subsets import (
@@ -66,14 +66,6 @@ def test_k4_proposed_listings():
 def test_subset_members_rejects_unbalanced():
     with pytest.raises(ValueError):
         subset_members("1011", includes_balanced=False)
-
-
-def test_both_listings_share_one_cached_build():
-    words._members.cache_clear()
-    y = "01101001"
-    subset_members(y, includes_balanced=True)
-    subset_members(y, includes_balanced=False)
-    assert words._members.cache_info().misses == 1
 
 
 def test_subset_size_rds_examples():
