@@ -11,6 +11,12 @@ Input is checked once per stream.  The core, :func:`frame_bytes` /
 travels as an integer from input bytes to output bytes, through the int
 kernel :class:`balpack.subsets.BlockCodec`, and no bit string is built.
 :func:`frame_stream` / :func:`deframe_stream` are its checking string adapters.
+
+Every block is coded on its own and every frame carries its own length, so
+a stream also codes as contiguous block ranges that need nothing from each
+other: :func:`frame_range` / :func:`deframe_range` code one, and
+:func:`frame_bytes` / :func:`deframe_bytes` are the one-range case.  This
+module never starts a process; the CLI decides where each range runs.
 """
 
 from operator import itemgetter
@@ -35,6 +41,11 @@ class StreamHeader(tuple):
 
     def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with the four fields
         return tuple(self)
+
+    @property
+    def blocks(self) -> int:
+        """The number of k-bit blocks, and so of frames, the payload fills."""
+        return -(-self.payload_bit_count // self.k)
 
     def pack(self) -> bytes:
         k, scheme, pad, nbits = self
@@ -105,13 +116,9 @@ def _chunk(k: int) -> tuple[int, int]:
     return bits // 8, bits // k
 
 
-def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
-                bit_count: int | None = None) -> bytearray:
-    """Encode the first ``bit_count`` bits of ``data`` (all of them by default) into a stream.
-
-    Bits are read most significant first; the fill after ``bit_count`` must be zero.
-    The stream is returned as the ``bytearray`` it was built in, not copied.
-    """
+def input_header(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
+                 bit_count: int | None = None) -> StreamHeader:
+    """The header of the stream :func:`frame_bytes` makes of these arguments; raises as it does."""
     if bit_count is None:
         bit_count = 8 * len(data)
     elif not 0 <= bit_count <= 8 * len(data) < bit_count + 8 or (
@@ -119,11 +126,74 @@ def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
         raise ValueError(f"{len(data)} bytes are not {bit_count} bits and a zero fill")
     if k > MAX_K:
         raise ValueError(f"block length {k} exceeds {MAX_K}, the most the stream header holds")
-    codec = BlockCodec(k, scheme)
+    BlockCodec(k, scheme)  # the codec's own limits on k
     if bit_count % k and not pad_mode:
         raise InputLengthError(f"{bit_count} input bits is not a multiple of k={k} "
                                "and padding is off")
-    out = bytearray(StreamHeader(k, scheme, pad_mode, bit_count).pack())
+    return StreamHeader(k, scheme, pad_mode, bit_count)
+
+
+def block_ranges(header: StreamHeader, count: int) -> list[tuple[int, int]]:
+    """``count`` contiguous ranges ``(first, last)`` of the stream's blocks, of about equal size.
+
+    Every cut falls between two int conversions (see :func:`_chunk`), so each
+    range codes to whole bytes on both sides; there are fewer ranges only if
+    there are fewer conversions, and always one.
+    """
+    blocks = header.blocks
+    if count < 2:
+        return [(0, blocks)]
+    per_chunk = _chunk(header.k)[1]
+    chunks = -(-blocks // per_chunk)
+    count = max(1, min(count, chunks))
+    cuts = [chunks * i // count * per_chunk for i in range(count)] + [blocks]
+    return list(zip(cuts, cuts[1:]))
+
+
+def frame_ranges(data: bytes, header: StreamHeader, count: int) -> list[tuple[int, int, int]]:
+    """:func:`block_ranges` of a framed stream, each with the byte offset of its first frame.
+
+    The offsets come from one pass over the frame heads before the last cut,
+    which decodes no payload.  If a head there is not one the scheme makes,
+    or the stream ends before the last cut, the stream is one range, whose
+    decode raises the error.
+    """
+    ranges, whole = block_ranges(header, count), [(0, header.blocks, HEADER_SIZE)]
+    if len(ranges) < 2:
+        return whole
+    k = header.k
+    max_bits = k + BlockCodec(k, header.scheme).max_prefix
+    max_varint = len(encode_varint(max_bits))
+    body = {n: (n + 7) // 8 for n in range(k, max_bits + 1)}
+    offsets, offset, index = [HEADER_SIZE], HEADER_SIZE, 0
+    try:
+        for first, _ in ranges[1:]:
+            for _ in range(first - index):
+                bit_length = data[offset]  # one-byte varints skip the call
+                if bit_length < 0x80:
+                    offset += 1
+                else:
+                    bit_length, offset = decode_varint(data, offset, max_varint)
+                offset += body[bit_length]
+            offsets.append(offset)
+            index = first
+    except (IndexError, KeyError, StreamCorruptError):
+        return whole
+    if offset >= len(data):
+        return whole
+    return [(first, last, offset) for (first, last), offset in zip(ranges, offsets)]
+
+
+def frame_range(data: bytes, header: StreamHeader, first: int, last: int) -> bytearray:
+    """The stream's bytes for blocks ``first`` to ``last`` (exclusive) of ``data``.
+
+    The range from block 0 starts with the header, so the ranges of
+    :func:`block_ranges` joined in order are the stream.  ``data`` is taken
+    as :func:`input_header` checked it.
+    """
+    k = header.k
+    codec = BlockCodec(k, header.scheme)
+    out = bytearray(b"" if first else header.pack())
     # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
     shapes = []
     for n in range(k, k + codec.max_prefix + 1):
@@ -132,26 +202,38 @@ def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
         shapes.append((head, len(varint) + body, 8 * body - n))
     encode, mask = codec.encode, (1 << k) - 1
     size, per_chunk = _chunk(k)
-    shifts, blocks = range(8 * size - k, -1, -k), -(-bit_count // k)
-    for first in range(0, blocks, per_chunk):
-        chunk = data[first * k // 8 : first * k // 8 + size]
+    shifts = range(8 * size - k, -1, -k)
+    for start in range(first, last, per_chunk):
+        chunk = data[start * k // 8 : start * k // 8 + size]
         group = int.from_bytes(chunk, "big") << 8 * (size - len(chunk))
-        for shift in shifts[: blocks - first]:
+        for shift in shifts[: last - start]:
             packet, p = encode(group >> shift & mask)
             head, nbytes, slack = shapes[p]
             out += (head | packet << slack).to_bytes(nbytes, "big")
     return out
 
 
-def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
-    """Decode a framed byte stream to its payload, zero-filled to whole bytes, and bit count.
+def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
+                bit_count: int | None = None) -> bytearray:
+    """Encode the first ``bit_count`` bits of ``data`` (all of them by default) into a stream.
 
-    Only the exact output of :func:`frame_bytes` is accepted: one frame per
-    block, minimal varints, zero slack bits and zero pad fill.  The output
-    grows frame by frame, never sized from the header's claim, and is
-    returned as the ``bytearray`` it was built in, not copied.
+    Bits are read most significant first; the fill after ``bit_count`` must be zero.
+    The stream is returned as the ``bytearray`` it was built in, not copied.
     """
-    header = StreamHeader.unpack(data)
+    header = input_header(data, k, scheme, pad_mode, bit_count)
+    return frame_range(data, header, 0, header.blocks)
+
+
+def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
+                  offset: int) -> bytearray:
+    """The payload bytes of blocks ``first`` to ``last`` (exclusive), framed from ``offset`` on.
+
+    Errors name the packet by its index in the stream.  The range that ends
+    at the last block also checks the stream's end: no data after the last
+    frame, a zero pad fill, and it drops the zero fill past the payload's
+    last byte.  So the ranges of :func:`frame_ranges` joined in order are the
+    payload.
+    """
     k, payload = header.k, header.payload_bit_count
     codec = BlockCodec(k, header.scheme)
     decode, max_bits = codec.decode, k + codec.max_prefix  # the longest packet
@@ -160,11 +242,11 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
     shapes = {n: ((n + 7) // 8, -n % 8, (1 << -n % 8) - 1, n - k)
               for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
-    frames, end, offset = -(-payload // k), len(data), HEADER_SIZE
+    frames, end = header.blocks, len(data)
     out = bytearray()
-    for first in range(0, frames, per_chunk):
+    for start in range(first, last, per_chunk):
         group = 0
-        for index in range(first, min(first + per_chunk, frames)):
+        for index in range(start, min(start + per_chunk, last)):
             try:
                 if offset >= end:
                     raise StreamCorruptError(f"stream ends after {index} of {frames} frames")
@@ -187,15 +269,29 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
             except (BalpackError, ValueError) as exc:
                 raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
             group = group << k | x
-        out += (group << k * (first + per_chunk - 1 - index)).to_bytes(size, "big")
+        out += (group << k * (start + per_chunk - 1 - index)).to_bytes(size, "big")
+    if last < frames:
+        return out
     if offset < end:
         raise StreamCorruptError(
             f"packet {frames}: data after the last of {frames} frames", packet_index=frames
         )
     if payload % k and x & ((1 << k - payload % k) - 1):  # index is the last packet's
         raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
-    del out[-(-payload // 8):]  # the zero fill of a short last chunk
-    return out, payload
+    del out[-(-payload // 8) - first * k // 8:]  # the zero fill of a short last chunk
+    return out
+
+
+def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
+    """Decode a framed byte stream to its payload, zero-filled to whole bytes, and bit count.
+
+    Only the exact output of :func:`frame_bytes` is accepted: one frame per
+    block, minimal varints, zero slack bits and zero pad fill.  The output
+    grows frame by frame, never sized from the header's claim, and is
+    returned as the ``bytearray`` it was built in, not copied.
+    """
+    header = StreamHeader.unpack(data)
+    return deframe_range(data, header, 0, header.blocks, HEADER_SIZE), header.payload_bit_count
 
 
 def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytearray:

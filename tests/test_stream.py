@@ -28,17 +28,24 @@ from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
 from balpack.stream import (
     _CHECK_SLICE,
+    HEADER_SIZE,
     MAGIC,
     MAX_K,
     StreamHeader,
+    _chunk,
     bits_to_bytes,
+    block_ranges,
     bytes_to_bits,
     decode_varint,
     deframe_bytes,
+    deframe_range,
     deframe_stream,
     encode_varint,
     frame_bytes,
+    frame_range,
+    frame_ranges,
     frame_stream,
+    input_header,
 )
 from balpack.invariants import selfcheck
 from balpack.subsets import Scheme, ceil_log2
@@ -446,27 +453,35 @@ def test_frame_bytes_rejects_a_bit_count_its_bytes_do_not_hold():
 
 
 @pytest.mark.parametrize("k", [16, 1024])
-def test_cli_codec_memory_is_proportional_to_the_file(tmp_path, k):
+def test_cli_codec_memory_is_proportional_to_the_file(tmp_path, monkeypatch, k):
     """Encode and decode of a 64 KiB file hold no bit string: each peaks below 512 KiB.
 
     Each command runs once untraced first, so one-time set-up (the byte-walk
-    table) is not counted against the file.
+    table) is not counted against the file.  It runs on one CPU and on two:
+    at k = 16 the file's 32,768 blocks split in two, and this process then
+    holds one copy of each part, never a joined one, so it peaks within
+    16 KiB of the serial call.
     """
     src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
     payload = random.Random(k).randbytes(64 << 10)
     src.write_bytes(payload)
-    peaks = []
-    for argv in (["encode", "--scheme", "knuth", "--k", str(k), str(src), str(enc)],
-                 ["decode", str(enc), str(out)]):
-        assert main(argv) == 0
-        tracemalloc.start()
-        try:
+    peaks = {}
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        for argv in (["encode", "--scheme", "knuth", "--k", str(k), str(src), str(enc)],
+                     ["decode", str(enc), str(out)]):
             assert main(argv) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert out.read_bytes() == payload
-    assert max(peaks) < 512 << 10, [peak >> 10 for peak in peaks]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[count, argv[0]] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.read_bytes() == payload
+    assert max(peaks.values()) < 512 << 10, {key: peak >> 10 for key, peak in peaks.items()}
+    for side in ("encode", "decode"):
+        assert peaks[2, side] <= peaks[1, side] + (16 << 10), (side, peaks[2, side] >> 10,
+                                                               peaks[1, side] >> 10)
 
 
 @pytest.mark.parametrize("k", [16, 1024])
@@ -738,6 +753,251 @@ def test_cli_decode_refuses_a_payload_that_is_not_whole_bytes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.rstrip().endswith("not byte aligned")
     assert not out.exists()
+
+
+def test_cli_decode_refuses_a_misaligned_payload_from_the_header(tmp_path, capsys):
+    """The alignment check reads the header only: no frame is decoded, no child forked."""
+    enc, out = tmp_path / "stream.bpk", tmp_path / "output.bin"
+    header = StreamHeader(k=4, scheme=Scheme.PROPOSED_FL, pad_mode=True, payload_bit_count=12)
+    enc.write_bytes(header.pack() + b"\xff" * 40)  # garbage where the frames belong
+    assert main(["decode", str(enc), str(out)]) == 1
+    assert capsys.readouterr().err == "error: decoded payload of 12 bits is not byte aligned\n"
+    assert not out.exists()
+
+
+def cpus(monkeypatch, count: int) -> None:
+    """Make the CLI see ``count`` CPUs: 1 keeps a stream in one process, more split it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def decode_outcome(stream: bytes, tmp_path: Path) -> tuple:
+    """The output of decoding ``stream`` through the CLI, or its error's class, text and index."""
+    enc, out = tmp_path / "outcome.bpk", tmp_path / "outcome.out"
+    enc.write_bytes(stream)
+    out.unlink(missing_ok=True)
+    try:
+        cli._cmd_decode(str(enc), str(out))
+    except (StreamCorruptError, ValueError) as exc:
+        outcome = (type(exc), str(exc), getattr(exc, "packet_index", None), out.exists())
+    else:
+        outcome = ("ok", out.read_bytes())
+    assert_no_child_left()
+    return outcome
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+@pytest.mark.parametrize("scheme,k,bits", [
+    (scheme, k, bits) for scheme in ALL_SCHEMES for k, bits in (
+        (4, 4 * 300 + 2), (6, 6 * 211), (16, 16 * 90 + 7), (18, 18 * 70 + 4), (1024, 1024 * 9 + 8))
+])
+def test_ranges_join_to_the_stream_and_the_payload(scheme, k, bits, count):
+    """Block ranges cut between int conversions; their parts joined in order are the whole."""
+    rng = random.Random(f"{scheme}/{k}/{count}")
+    data = (rng.getrandbits(bits) << -bits % 8).to_bytes((bits + 7) // 8, "big")
+    header = input_header(data, k, scheme, True, bits)
+    stream = frame_bytes(data, k, scheme, True, bits)
+    ranges = block_ranges(header, count)
+    assert len(ranges) == min(count, -(-header.blocks // _chunk(k)[1]))
+    assert ranges[0][0] == 0 and ranges[-1][1] == header.blocks
+    assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
+    assert b"".join(frame_range(data, header, *r) for r in ranges) == stream
+    located = frame_ranges(bytes(stream), header, count)
+    assert [r[:2] for r in located] == ranges
+    assert b"".join(deframe_range(bytes(stream), header, *r) for r in located) == data
+
+
+def test_frame_ranges_keep_an_irregular_stream_whole():
+    """A bad frame head before the last cut, or a stream too short, leaves one range."""
+    data = random.Random(3).randbytes(4096)
+    header = input_header(data, 16, Scheme.PROPOSED_VL)
+    stream = bytes(frame_bytes(data, 16, Scheme.PROPOSED_VL))
+    whole = [(0, header.blocks, HEADER_SIZE)]
+    assert len(frame_ranges(stream, header, 4)) == 4
+    assert frame_ranges(stream, header, 1) == whole
+    last_cut = frame_ranges(stream, header, 4)[-1][2]
+    for bad in (stream[:16] + b"\x7f" + stream[17:],  # a 127-bit frame
+                stream[:16] + b"\x91\x00" + stream[18:],  # a varint that is not minimal
+                stream[:2000], stream[:last_cut]):
+        assert frame_ranges(bad, header, 4) == whole
+
+
+def ragged_input(k: int, blocks: int, seed: int) -> bytes:
+    """Random bytes that end in a partial block, ``blocks`` blocks with it."""
+    return random.Random(seed).randbytes(((blocks - 1) * k + k // 2 + 7) // 8)
+
+
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("k", [4, 6, 16, 18, 1024])
+@pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
+def test_cli_split_streams_and_outputs_match_one_process(tmp_path, monkeypatch, name, k, pad):
+    """Streams and decoded files are the same bytes on one CPU and split over two or three.
+
+    The threshold is lowered to 16 blocks per process so that every k splits
+    in milliseconds; the real one is exercised by the memory test above.
+    """
+    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 16)
+    blocks = 3 * 16 * 33  # 33 int conversions at k = 16
+    data = ragged_input(k, blocks, k) if pad else random.Random(k).randbytes(blocks * k // 8)
+    src = tmp_path / "input.bin"
+    src.write_bytes(data)
+    results = []
+    for count in (1, 2, 3):
+        cpus(monkeypatch, count)
+        enc, out = tmp_path / f"stream{count}.bpk", tmp_path / f"output{count}.bin"
+        argv = ["encode", "--scheme", name, "--k", str(k), *(["--pad"] if pad else []),
+                str(src), str(enc)]
+        assert main(argv) == 0
+        assert_no_child_left()
+        assert main(["decode", str(enc), str(out)]) == 0
+        assert_no_child_left()
+        results.append((enc.read_bytes(), out.read_bytes()))
+    assert results[0][1] == data
+    assert results[1] == results[0] and results[2] == results[0]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
+def test_cli_split_at_the_real_threshold(tmp_path, monkeypatch, name):
+    """At k = 16 a ragged input of 8,193 blocks splits in two at 4,096 blocks per process."""
+    assert cli.MIN_BLOCKS_PER_WORKER == 4096
+    assert cli._workers(8191) == 1
+    cpus(monkeypatch, 2)
+    assert cli._workers(8192) == 2
+    src = tmp_path / "input.bin"
+    src.write_bytes(ragged_input(16, 8193, 16))
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        enc, out = tmp_path / f"stream{count}.bpk", tmp_path / f"output{count}.bin"
+        assert main(["encode", "--scheme", name, "--k", "16", "--pad", str(src), str(enc)]) == 0
+        assert main(["decode", str(enc), str(out)]) == 0
+        assert_no_child_left()
+        results.append((enc.read_bytes(), out.read_bytes()))
+    assert results[0] == results[1] and results[0][1] == src.read_bytes()
+
+
+def flipped(stream: bytes, *places: tuple[int, int]) -> bytes:
+    """``stream`` with the bits of each (byte offset, mask) place inverted."""
+    corrupt = bytearray(stream)
+    for at, mask in places:
+        corrupt[at] ^= mask
+    return bytes(corrupt)
+
+
+def mutations(stream: bytes, rng: random.Random):
+    """Corrupt copies of ``stream``: named cases around the cuts and ends, then random flips."""
+    first, middle, last = HEADER_SIZE + 2, HEADER_SIZE + (len(stream) - HEADER_SIZE) // 2, -2
+    yield stream[:-1]  # the last frame truncated
+    yield stream + b"\x00"  # data after the last frame
+    yield stream[:middle] + stream[middle + 1:]  # a byte deleted in the middle
+    for at in (first, HEADER_SIZE, middle, last):
+        for mask in (0x01, 0x80):
+            yield flipped(stream, (at, mask))
+    yield flipped(stream, (first, 0x01), (last, 0x01))  # a bad packet in the first range and last
+    yield flipped(stream, (middle, 0x01), (last, 0x01))
+    for _ in range(12):
+        yield flipped(stream, *((rng.randrange(HEADER_SIZE, len(stream)), 1 << rng.randrange(8))
+                                for _ in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in sorted(SCHEME_NAMES) for k in (4, 16)])
+def test_cli_split_errors_match_one_process(tmp_path, monkeypatch, name, k):
+    """Mutated streams past the threshold give the same error class, message and packet index."""
+    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 64)
+    data = ragged_input(k, 64 * 3 * 8, k)
+    stream = bytes(frame_bytes(data, k, SCHEME_NAMES[name], pad_mode=True))
+    rng = random.Random(f"{name}/{k}")
+    failed = 0
+    for corrupt in mutations(stream, rng):
+        outcomes = []
+        for count in (1, 2, 3):
+            cpus(monkeypatch, count)
+            outcomes.append(decode_outcome(corrupt, tmp_path))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        failed += outcomes[0][0] is StreamCorruptError
+    assert failed >= 10
+
+
+def test_cli_split_survives_a_failed_fork_and_a_child_without_a_result(tmp_path, monkeypatch):
+    """A range whose child never started or never answered is coded by the parent itself."""
+    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 64)
+    cpus(monkeypatch, 3)
+    data = ragged_input(16, 64 * 3 * 4, 5)
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    src.write_bytes(data)
+    stream = bytes(frame_bytes(data, 16, Scheme.PROPOSED_VL, pad_mode=True))
+    encode = ["encode", "--scheme", "proposed-vl", "--k", "16", "--pad", str(src), str(enc)]
+    decode = ["decode", str(enc), str(out)]
+
+    def failing_fork():
+        raise OSError("no fork")
+
+    parent = os.getpid()
+
+    def dying(code):
+        def wrapper(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return code(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", failing_fork)
+        assert main(encode) == 0 and enc.read_bytes() == stream
+        assert main(decode) == 0 and out.read_bytes() == data
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "frame_range", dying(frame_range))
+        patch.setattr(cli, "deframe_range", dying(deframe_range))
+        out.unlink()
+        assert main(encode) == 0 and enc.read_bytes() == stream
+        assert main(decode) == 0 and out.read_bytes() == data
+        corrupt = bytearray(stream)
+        corrupt[-3] ^= 0x10
+        assert decode_outcome(bytes(corrupt), tmp_path)[0] is StreamCorruptError
+    assert_no_child_left()
+
+
+def test_cli_split_leaves_no_child_on_any_exit(tmp_path, monkeypatch, capsys):
+    """Success, a corrupt range in this process or in a child, and an interrupt: no child left.
+
+    A child's error comes back as its record: this process decodes only its
+    own range, never the child's again.
+    """
+    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 64)
+    cpus(monkeypatch, 2)
+    src, enc, bad, out = (tmp_path / n for n in ("input.bin", "stream.bpk", "bad.bpk", "out"))
+    src.write_bytes(random.Random(9).randbytes(4096))  # 2,048 blocks at k = 16
+    assert main(["encode", "--scheme", "knuth", "--k", "16", str(src), str(enc)]) == 0
+    assert_no_child_left()
+    stream = enc.read_bytes()
+    parent, decoded_here = os.getpid(), []
+
+    def recorded(data, header, first, last, offset):
+        if os.getpid() == parent:
+            decoded_here.append(first)
+        return deframe_range(data, header, first, last, offset)
+
+    monkeypatch.setattr(cli, "deframe_range", recorded)
+    for at in (HEADER_SIZE + 2, len(stream) - 2):  # in this process's range, in the child's
+        bad.write_bytes(flipped(stream, (at, 0x01)))
+        decoded_here.clear()
+        assert main(["decode", str(bad), str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: packet ")
+        assert decoded_here == [0]
+        assert not out.exists()
+        assert_no_child_left()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "deframe_range", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["decode", str(enc), str(out)])
+    assert_no_child_left()
 
 
 def test_cli_decode_corrupt_stream(tmp_path):

@@ -15,15 +15,22 @@ median over ``--runs`` runs, in µs, of:
 - ``byte_table``: the first ``subsets._build_byte_span``, inside ``codec``;
 - ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes during
   ``main``, as a count and in µs, inside whichever piece made them;
-- ``codec``: the first ``stream.frame_bytes`` / ``deframe_bytes``;
+- ``codec``: the first ``cli._coded``, which codes the block ranges, forks
+  and reaps (``frame_bytes`` / ``deframe_bytes`` in a checkout without it);
+  a decode's pass over the frame heads that finds the cuts falls in ``read``;
 - ``write``: writing the output file;
-- ``call``: ``main`` as a whole.
+- ``call``: ``main`` as a whole;
+- ``cpu``: user plus system time during ``main`` of the process and of the
+  children it reaped (``getrusage``, which counts what ``os.times()`` does
+  in µs rather than clock ticks), so a split call shows the CPU it adds.
 
 It imports the ``balpack`` beside it, so a second checkout's copy measures
 that checkout.  ``--against DIR`` runs the checkout at DIR in the same
 rounds, the one that goes first alternating, and prints each piece's median
 for both, their ratio (this checkout over DIR's) and the runs this checkout
-was faster in.
+was faster in.  Both checkouts' sources are byte-compiled first: under
+``PYTHONDONTWRITEBYTECODE`` a checkout without ``__pycache__`` would compile
+them in every run, and its ``import`` would time the compiler.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ import tempfile
 from pathlib import Path
 
 SEED = 1024
-PIECES = ("import", "parse", "read", "byte_table", "gc_passes", "gc_us", "codec", "write", "call")
+PIECES = ("import", "parse", "read", "byte_table", "gc_passes", "gc_us", "codec", "write", "call",
+          "cpu")
 
 #: One cold call: ``python -c CHILD SRC_DIR CLI_ARGS...``; prints one JSON object of pieces.
 CHILD = """
@@ -47,7 +55,7 @@ sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import balpack.cli as cli
 imported = time.perf_counter()
-import gc, json
+import gc, json, resource
 from balpack import subsets
 
 spans = {}  # piece: (first entry, first exit)
@@ -63,14 +71,22 @@ def timed(module, name, piece):
 
 command = sys.argv[2]
 timed(cli, f"_cmd_{command}", "handler")
-timed(cli, "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
+timed(cli, "_coded" if hasattr(cli, "_coded")
+      else "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
 timed(cli, "_write", "write")
 timed(subsets, "_build_byte_span", "byte_table")
+def cpu_s():
+    own, reaped = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
+                                                       resource.RUSAGE_CHILDREN))
+    return own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime
+
 passes = []
 gc.callbacks.append(lambda phase, info: passes.append(time.perf_counter()))
+cpu_begun = cpu_s()
 begun = time.perf_counter()
 status = cli.main(sys.argv[2:])
 ended = time.perf_counter()
+cpu = cpu_s() - cpu_begun
 gc.callbacks.clear()
 if status != 0:
     raise SystemExit(f"balpack {command} exited {status}")
@@ -85,6 +101,7 @@ print(json.dumps({
     "codec": length("codec"),
     "write": length("write"),
     "call": ended - begun,
+    "cpu": cpu,
 }))
 """
 
@@ -135,6 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     for root in roots:
         if not (root / "src" / "balpack" / "cli.py").is_file():
             raise SystemExit(f"no balpack under {root / 'src'}")
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src" / "balpack")],
+                       check=True, stdout=subprocess.DEVNULL)
     runs = [([], []) for _ in roots]  # per checkout: encode runs, decode runs
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
