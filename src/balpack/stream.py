@@ -17,6 +17,14 @@ a stream also codes as contiguous block ranges that need nothing from each
 other: :func:`frame_range` / :func:`deframe_range` code one, and
 :func:`frame_bytes` / :func:`deframe_bytes` are the one-range case.  This
 module never starts a process; the CLI decides where each range runs.
+
+Knuth and BASELINE_FL frames all have one size, ``k`` plus the scheme's
+prefix bits behind the same varint.  :func:`deframe_range` reads a chunk of
+them with one ``int.from_bytes``, checks every head and slack bit in it with
+one masked compare, and shifts the packets out.  A chunk that fails, or
+whose kernel raises, is read again frame by frame, as a short last chunk
+is; only that loop reports errors.  :func:`frame_ranges` finds their cuts
+by multiplication.
 """
 
 from operator import itemgetter
@@ -153,32 +161,42 @@ def block_ranges(header: StreamHeader, count: int) -> list[tuple[int, int]]:
 def frame_ranges(data: bytes, header: StreamHeader, count: int) -> list[tuple[int, int, int]]:
     """:func:`block_ranges` of a framed stream, each with the byte offset of its first frame.
 
-    The offsets come from one pass over the frame heads before the last cut,
-    which decodes no payload.  If a head there is not one the scheme makes,
-    or the stream ends before the last cut, the stream is one range, whose
-    decode raises the error.
+    The offsets come from the frame heads before the last cut, and no payload
+    is decoded.  Knuth and BASELINE_FL frames all have one size, so their
+    offsets are products and their heads are checked by one strided compare
+    per varint byte; other schemes' heads are walked one by one.  If a head
+    there is not one the scheme makes, or the stream ends before the last
+    cut, the stream is one range, whose decode raises the error.
     """
     ranges, whole = block_ranges(header, count), [(0, header.blocks, HEADER_SIZE)]
     if len(ranges) < 2:
         return whole
-    k = header.k
-    max_bits = k + BlockCodec(k, header.scheme).max_prefix
-    max_varint = len(encode_varint(max_bits))
-    body = {n: (n + 7) // 8 for n in range(k, max_bits + 1)}
-    offsets, offset, index = [HEADER_SIZE], HEADER_SIZE, 0
-    try:
-        for first, _ in ranges[1:]:
-            for _ in range(first - index):
-                bit_length = data[offset]  # one-byte varints skip the call
-                if bit_length < 0x80:
-                    offset += 1
-                else:
-                    bit_length, offset = decode_varint(data, offset, max_varint)
-                offset += body[bit_length]
-            offsets.append(offset)
-            index = first
-    except (IndexError, KeyError, StreamCorruptError):
-        return whole
+    codec = BlockCodec(header.k, header.scheme)
+    max_bits = header.k + codec.max_prefix
+    varint = encode_varint(max_bits)
+    if not codec.prefix_less:  # one frame size: cuts by arithmetic, heads by strided compares
+        step = len(varint) + (max_bits + 7) // 8
+        offsets = [HEADER_SIZE + first * step for first, _ in ranges]
+        cut, offset = ranges[-1][0], offsets[-1]
+        if any(data[HEADER_SIZE + i : offset : step] != varint[i : i + 1] * cut
+               for i in range(len(varint))):
+            return whole
+    else:
+        body = {n: (n + 7) // 8 for n in range(header.k, max_bits + 1)}
+        offsets, offset, index = [HEADER_SIZE], HEADER_SIZE, 0
+        try:
+            for first, _ in ranges[1:]:
+                for _ in range(first - index):
+                    bit_length = data[offset]  # one-byte varints skip the call
+                    if bit_length < 0x80:
+                        offset += 1
+                    else:
+                        bit_length, offset = decode_varint(data, offset, len(varint))
+                    offset += body[bit_length]
+                offsets.append(offset)
+                index = first
+        except (IndexError, KeyError, StreamCorruptError):
+            return whole
     if offset >= len(data):
         return whole
     return [(first, last, offset) for (first, last), offset in zip(ranges, offsets)]
@@ -243,10 +261,32 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
               for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
     frames, end = header.blocks, len(data)
+    one_shape = not codec.prefix_less
+    if one_shape:  # every frame max_bits long: a chunk's heads and slack bits are one pattern
+        varint, (nbytes, slack, slack_mask, prefix) = encode_varint(max_bits), shapes[max_bits]
+        step, packet_mask = len(varint) + nbytes, (1 << max_bits) - 1
+        span = per_chunk * step  # the bytes of a whole chunk
+        heads = int.from_bytes((varint + bytes(nbytes)) * per_chunk, "big")
+        check = int.from_bytes((b"\xff" * len(varint) + slack_mask.to_bytes(nbytes, "big"))
+                               * per_chunk, "big")
+        packets = range(8 * (span - step) + slack, -1, -8 * step)  # the shift of each packet
     out = bytearray()
     for start in range(first, last, per_chunk):
+        count = min(per_chunk, last - start)
+        if one_shape and count == per_chunk and offset + span <= end:  # else frame by frame
+            value = int.from_bytes(data[offset : offset + span], "big")
+            if value & check == heads:
+                try:
+                    group = 0
+                    for shift in packets:
+                        group = group << k | decode(value >> shift & packet_mask, prefix)
+                    out += group.to_bytes(size, "big")
+                    offset += span
+                    continue
+                except (BalpackError, ValueError):
+                    pass  # the frame loop below raises it, naming the packet
         group = 0
-        for index in range(start, min(start + per_chunk, last)):
+        for index in range(start, start + count):
             try:
                 if offset >= end:
                     raise StreamCorruptError(f"stream ends after {index} of {frames} frames")
@@ -269,15 +309,15 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
             except (BalpackError, ValueError) as exc:
                 raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
             group = group << k | x
-        out += (group << k * (start + per_chunk - 1 - index)).to_bytes(size, "big")
+        out += (group << k * (per_chunk - count)).to_bytes(size, "big")
     if last < frames:
         return out
     if offset < end:
         raise StreamCorruptError(
             f"packet {frames}: data after the last of {frames} frames", packet_index=frames
         )
-    if payload % k and x & ((1 << k - payload % k) - 1):  # index is the last packet's
-        raise StreamCorruptError(f"packet {index}: nonzero pad fill", packet_index=index)
+    if payload % k and group & ((1 << k - payload % k) - 1):  # the last packet's fill
+        raise StreamCorruptError(f"packet {frames - 1}: nonzero pad fill", packet_index=frames - 1)
     del out[-(-payload // 8) - first * k // 8:]  # the zero fill of a short last chunk
     return out
 
@@ -287,8 +327,8 @@ def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
 
     Only the exact output of :func:`frame_bytes` is accepted: one frame per
     block, minimal varints, zero slack bits and zero pad fill.  The output
-    grows frame by frame, never sized from the header's claim, and is
-    returned as the ``bytearray`` it was built in, not copied.
+    grows chunk by chunk (see :func:`_chunk`), never sized from the header's
+    claim, and is returned as the ``bytearray`` it was built in, not copied.
     """
     header = StreamHeader.unpack(data)
     return deframe_range(data, header, 0, header.blocks, HEADER_SIZE), header.payload_bit_count

@@ -48,7 +48,7 @@ from balpack.stream import (
     input_header,
 )
 from balpack.invariants import selfcheck
-from balpack.subsets import Scheme, ceil_log2
+from balpack.subsets import Scheme, ceil_log2, prefix_length
 from balpack.words import decode_packet, encode_packet, is_balanced
 
 ALL_SCHEMES = list(Scheme)
@@ -812,18 +812,131 @@ def test_ranges_join_to_the_stream_and_the_payload(scheme, k, bits, count):
 
 
 def test_frame_ranges_keep_an_irregular_stream_whole():
-    """A bad frame head before the last cut, or a stream too short, leaves one range."""
+    """A bad frame head before the last cut, or a stream too short, leaves one range.
+
+    Knuth and BASELINE_FL frames all have one size, so their cut offsets are
+    products; they must be the offsets a walk over every frame finds.
+    """
     data = random.Random(3).randbytes(4096)
-    header = input_header(data, 16, Scheme.PROPOSED_VL)
-    stream = bytes(frame_bytes(data, 16, Scheme.PROPOSED_VL))
-    whole = [(0, header.blocks, HEADER_SIZE)]
-    assert len(frame_ranges(stream, header, 4)) == 4
-    assert frame_ranges(stream, header, 1) == whole
-    last_cut = frame_ranges(stream, header, 4)[-1][2]
-    for bad in (stream[:16] + b"\x7f" + stream[17:],  # a 127-bit frame
-                stream[:16] + b"\x91\x00" + stream[18:],  # a varint that is not minimal
-                stream[:2000], stream[:last_cut]):
-        assert frame_ranges(bad, header, 4) == whole
+    for scheme, k in ((Scheme.PROPOSED_VL, 16), (Scheme.KNUTH, 16), (Scheme.KNUTH, 1024),
+                      (Scheme.BASELINE_FL, 16), (Scheme.BASELINE_FL, 1024)):
+        header = input_header(data, k, scheme)
+        stream = bytes(frame_bytes(data, k, scheme))
+        whole = [(0, header.blocks, HEADER_SIZE)]
+        ranges = frame_ranges(stream, header, 4)
+        assert len(ranges) == 4
+        assert frame_ranges(stream, header, 1) == whole
+        offsets = _frame_offsets(stream)
+        assert [r[2] for r in ranges] == [offsets[r[0]] for r in ranges]
+        last_cut = ranges[-1][2]
+        before = offsets[ranges[-1][0] - 1]  # the last frame head before the last cut
+        bad = [stream[:16] + b"\x7f" + stream[17:],  # a 127-bit frame
+               stream[:16] + b"\x91\x00" + stream[18:],  # a varint that is not minimal
+               stream[:2000], stream[:last_cut],
+               flipped(stream, (before, 0x80))]
+        if k == 1024:  # two-byte varints: a corrupt second byte, early and late
+            bad += [flipped(stream, (offsets[1] + 1, 0x01)), flipped(stream, (before + 1, 0x01))]
+        for corrupt in bad:
+            assert frame_ranges(corrupt, header, 4) == whole
+
+
+@pytest.mark.parametrize("scheme", [Scheme.KNUTH, Scheme.BASELINE_FL])
+def test_one_shape_streams_decode_without_reading_a_varint(monkeypatch, scheme):
+    """A valid Knuth or BASELINE_FL stream is read a chunk at a time, with no frame's varint parsed.
+
+    At k = 1024 every frame starts with a two-byte varint, which the frame
+    loop would read with ``decode_varint``; a corrupt packet sends its chunk
+    there, so the count shows which path ran.
+    """
+    data = random.Random(5).randbytes(8 * 1024 // 8)
+    stream = bytes(frame_bytes(data, 1024, scheme))
+    assert stream[HEADER_SIZE] >= 0x80
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return decode_varint(*args)
+
+    monkeypatch.setattr("balpack.stream.decode_varint", counted)
+    header = StreamHeader.unpack(stream)
+    ranges = frame_ranges(stream, header, 3)
+    assert len(ranges) == 3
+    assert b"".join(deframe_range(stream, header, *r) for r in ranges) == data
+    assert deframe_bytes(stream) == (data, len(data) * 8)
+    assert calls == []
+    with pytest.raises(StreamCorruptError, match="^packet 7: ") as err:
+        deframe_bytes(flipped(stream, (len(stream) - 2, 0x01)))
+    assert err.value.packet_index == 7 and len(calls) == 1
+
+
+def one_shape_mutations(stream: bytes, k: int, scheme: Scheme, rng: random.Random):
+    """Corrupt copies of a Knuth or BASELINE_FL stream, whose frames are all one size.
+
+    Bit flips, byte inserts and deletes and truncations at each chunk boundary
+    (the first byte of the chunk's first frame and the last byte before it),
+    inside each chunk, in the last, partial chunk and at the end; then random ones.
+    """
+    bit_length = k + prefix_length(k, scheme)
+    step = len(encode_varint(bit_length)) + (bit_length + 7) // 8
+    per_chunk = _chunk(k)[1]
+    frames = (len(stream) - HEADER_SIZE) // step
+    places = {len(stream) - 1, HEADER_SIZE + (frames - 1) * step + 1}
+    for first in range(0, frames, per_chunk):
+        at = HEADER_SIZE + first * step
+        places |= {at, at - 1, at + min(per_chunk, frames - first) * step // 2}
+    for at in sorted(places - {HEADER_SIZE - 1}):
+        for mask in (0x01, 0x10, 0x80):
+            yield flipped(stream, (at, mask))
+        yield stream[:at] + b"\x00" + stream[at:]
+        yield stream[:at] + bytes([rng.randrange(256)]) + stream[at:]
+        yield stream[:at] + stream[at + 1:]
+        yield stream[:at]
+    for _ in range(8):
+        yield flipped(stream, *((rng.randrange(HEADER_SIZE, len(stream)), 1 << rng.randrange(8))
+                                for _ in range(rng.randint(1, 3))))
+
+
+#: sha256 of the JSON list of outcomes of ``test_one_shape_decode_outcomes_are_pinned``,
+#: computed before the one-shape chunk path existed
+PINNED_ONE_SHAPE_OUTCOMES_SHA256 = {
+    Scheme.KNUTH: "a8e00bbd080d81a02138f2e9347fe532701340455dcda25da0000f75083a0391",
+    Scheme.BASELINE_FL: "f1ff6964c987011e466229b03ab6f5985d223d9921bbe94c145ab556a67715a4",
+}
+
+
+@pytest.mark.parametrize("scheme", [Scheme.KNUTH, Scheme.BASELINE_FL])
+def test_one_shape_decode_outcomes_are_pinned(scheme):
+    """Every mutated stream decodes to the same bytes, or fails with the same error, as pinned.
+
+    The outcome is the decoded payload or the error's class, message and
+    packet index.  Decoding the ranges of ``frame_ranges`` in order, stopping
+    at the first error, as a split CLI call does, gives the same outcome.
+    """
+    outcomes = []
+    for k in (4, 6, 16, 18, 126, 128, 130, 1024):
+        per_chunk = _chunk(k)[1]
+        blocks = 2 * per_chunk + per_chunk // 2 + 1
+        for pad_mode in (False, True):
+            rng = random.Random(f"{scheme.name}/{k}/{pad_mode}")
+            bits = blocks * k - (k // 2 + 1 if pad_mode else 0)
+            data = (rng.getrandbits(bits) << -bits % 8).to_bytes((bits + 7) // 8, "big")
+            stream = bytes(frame_bytes(data, k, scheme, pad_mode, bits))
+            for corrupt in one_shape_mutations(stream, k, scheme, rng):
+                try:
+                    payload, nbits = deframe_bytes(corrupt)
+                    outcome = [payload.hex(), nbits]
+                except StreamCorruptError as exc:
+                    outcome = [type(exc).__name__, str(exc), exc.packet_index]
+                header = StreamHeader.unpack(corrupt)
+                try:
+                    parts = [deframe_range(corrupt, header, *r)
+                             for r in frame_ranges(corrupt, header, 3)]
+                    assert outcome == [b"".join(parts).hex(), header.payload_bit_count]
+                except StreamCorruptError as exc:
+                    assert outcome == [type(exc).__name__, str(exc), exc.packet_index]
+                outcomes.append(outcome)
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == PINNED_ONE_SHAPE_OUTCOMES_SHA256[scheme]
 
 
 def ragged_input(k: int, blocks: int, seed: int) -> bytes:

@@ -13,11 +13,13 @@ median over ``--runs`` runs, in µs, of:
 - ``read``: from entering the handler to calling the codec (opening and
   reading the input);
 - ``byte_table``: the first ``subsets._build_byte_span``, inside ``codec``;
-- ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes during
-  ``main``, as a count and in µs, inside whichever piece made them;
+- ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes that
+  start before ``main`` returns, as a count and in µs, inside whichever
+  piece made them;
 - ``codec``: the first ``cli._coded``, which codes the block ranges, forks
   and reaps (``frame_bytes`` / ``deframe_bytes`` in a checkout without it);
-  a decode's pass over the frame heads that finds the cuts falls in ``read``;
+  a decode's search for the cuts falls in ``read``, and walks the frame heads
+  only for the prefix-less schemes (Knuth and BASELINE_FL cuts are products);
 - ``write``: writing the output file;
 - ``call``: ``main`` as a whole;
 - ``cpu``: user plus system time during ``main`` of the process and of the
@@ -91,13 +93,15 @@ gc.callbacks.clear()
 if status != 0:
     raise SystemExit(f"balpack {command} exited {status}")
 length = lambda piece: spans[piece][1] - spans[piece][0] if piece in spans else None
+# cpu_s()'s own objects can start a pass just after main returns: count those before ``ended``
+collected = [(a, b) for a, b in zip(passes[0::2], passes[1::2]) if a < ended]
 print(json.dumps({
     "import": imported - start,
     "parse": spans["handler"][0] - begun,
     "read": spans["codec"][0] - spans["handler"][0],
     "byte_table": length("byte_table"),
-    "gc_passes": len(passes) // 2,
-    "gc_us": sum(passes[1::2]) - sum(passes[0::2]),
+    "gc_passes": len(collected),
+    "gc_us": sum(b - a for a, b in collected),
     "codec": length("codec"),
     "write": length("write"),
     "call": ended - begun,
