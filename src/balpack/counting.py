@@ -12,6 +12,9 @@ to a single congruence-filtered binomial sum:
 
     trace(M_B ** k) = (B+1) * sum_{j == k/2 (mod B+1)} C(k, j)  -  2**k
 
+Each class j == k/2 (mod B+1) is symmetric about k/2, as C(k, .) is, so its
+sum is twice its sum over j <= k/2 less C(k, k/2): half the row gives the traces.
+
 A cosine closed form of the same trace exists; it is evaluated in
 extended precision because its three nearly equal terms cancel down by a
 factor of about 2**k.
@@ -20,7 +23,7 @@ factor of about 2**k.
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from operator import itemgetter
 
 from .words import subset_members
 
@@ -29,11 +32,17 @@ from .words import subset_members
 BRUTEFORCE_MAX_K = 20
 
 
-class CountTable(NamedTuple):
-    """Counts of balanced length-k words per compressed-subset size."""
+class CountTable(tuple):
+    """Counts of balanced length-k words per compressed-subset size: an immutable (k, counts)."""
 
-    k: int
-    counts: dict[int, int]
+    __slots__ = ()
+    k, counts = (property(itemgetter(i)) for i in range(2))
+
+    def __new__(cls, k: int, counts: dict[int, int]):
+        return tuple.__new__(cls, (k, counts))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with both fields
+        return tuple(self)
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -44,31 +53,27 @@ class CountTable(NamedTuple):
     def validate(self) -> None:
         """Check both sum identities against the binomial totals."""
         full = math.comb(self.k, self.k // 2)
-        if self.total() != full:
-            raise AssertionError(f"counts sum to {self.total()}, expected {full}")
-        expect = 2**self.k - full
-        if self.weighted_total() != expect:
-            raise AssertionError(
-                f"weighted counts sum to {self.weighted_total()}, expected {expect}"
-            )
+        for what, got, expect in (("counts", self.total(), full),
+                                  ("weighted counts", self.weighted_total(), 2**self.k - full)):
+            if got != expect:
+                raise AssertionError(f"{what} sum to {got}, expected {expect}")
 
 
 def connection_matrix(states: int) -> list[list[int]]:
     """Tridiagonal 0/1 adjacency matrix of the running-sum walk on ``states`` levels."""
     if states < 0:
         raise ValueError(f"state count must be >= 0, got {states}")
-    return [
-        [1 if abs(i - j) == 1 else 0 for j in range(states)] for i in range(states)
-    ]
+    return [[1 if abs(i - j) == 1 else 0 for j in range(states)] for i in range(states)]
 
 
-def _strip_traces(widths: Iterable[int], steps: int) -> list[int]:
-    """trace(M_B ** steps) for each strip width B in ``widths``, from one binomial row."""
-    row = [1]
-    for j in range(steps):
+def _strip_traces(widths, steps: int) -> list[int]:
+    """trace(M_B ** steps) for each strip width B in ``widths``, from half a binomial row."""
+    half = steps // 2
+    row = [1]  # C(steps, 0..half)
+    for j in range(half):
         row.append(row[-1] * (steps - j) // (j + 1))
-    half, walks = steps // 2, 1 << steps
-    return [(b + 1) * sum(row[half % (b + 1)::b + 1]) - walks for b in widths]
+    middle, walks = row[half], 1 << steps
+    return [(b + 1) * (2 * sum(row[half % (b + 1)::b + 1]) - middle) - walks for b in widths]
 
 
 def trace_closed_walks(states: int, steps: int) -> int:
@@ -109,19 +114,14 @@ def subset_size_count_cosine(size: int, k: int) -> float:
     with mpmath.workprec(k + 64):
 
         def cosine_trace(states: int) -> mpmath.mpf:
-            return mpmath.fsum(
-                mpmath.cos(mpmath.pi * i / (states + 1)) ** k
-                for i in range(1, states + 1)
-            )
+            return mpmath.fsum(mpmath.cos(mpmath.pi * i / (states + 1)) ** k
+                               for i in range(1, states + 1))
 
-        value = mpmath.mpf(2) ** k * (
-            cosine_trace(size + 1) - 2 * cosine_trace(size) + cosine_trace(size - 1)
-        )
+        value = mpmath.mpf(2) ** k * (cosine_trace(size + 1) - 2 * cosine_trace(size)
+                                      + cosine_trace(size - 1))
         out = float(value)
         if math.isinf(out) and mpmath.isfinite(value):
-            raise OverflowError(
-                f"subset-size count for size={size}, k={k} exceeds float range"
-            )
+            raise OverflowError(f"subset-size count for size={size}, k={k} exceeds float range")
     return out
 
 

@@ -4,27 +4,34 @@ Every ratio of big integers is one int true division, which CPython rounds
 correctly: the same double as ``float(Fraction(n, d))``, the tests' oracle,
 without the gcd.  At k = 1024 both numerators and denominators overflow a
 double on their own, while every ratio is a tame number in [0, 1].
+
+A table is written as plain lines, its fields joined by commas and ended by
+CRLF: every field is a number or a fixed column name, so nothing needs
+quoting, and CRLF ends the lines of ``csv``'s default dialect.  The bytes are
+those ``csv.writer`` writes, without its scan of each ~600-digit count.
 """
 
-import csv
 import math
-from typing import Callable, Iterable, NamedTuple, TextIO
+from operator import itemgetter
 
 from .counting import count_table
 from .subsets import Scheme, ceil_log2, prefix_length
 
 
-class RedundancyRow(NamedTuple):
-    """One comparison-table row of average prefix bits."""
+class RedundancyRow(tuple):
+    """One comparison-table row of average prefix bits: an immutable (k, h0, h, h1, h2)."""
 
-    k: int
-    h0: float
-    h: float
-    h1: float
-    h2: float
+    __slots__ = ()
+    k, h0, h, h1, h2 = (property(itemgetter(i)) for i in range(5))
+
+    def __new__(cls, k: int, h0: float, h: float, h1: float, h2: float):
+        return tuple.__new__(cls, (k, h0, h, h1, h2))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle call __new__ with the five fields
+        return tuple(self)
 
 
-def _averages(k: int, bits_for: Callable[[int], float]) -> tuple[float, float]:
+def _averages(k: int, bits_for) -> tuple[float, float]:
     """Compressed and baseline averages of ``bits_for(ranks)`` from one count table.
 
     The s * N(s) unbalanced words whose compressed subset has s members
@@ -34,10 +41,11 @@ def _averages(k: int, bits_for: Callable[[int], float]) -> tuple[float, float]:
     """
     _check_k(k)
     counts = count_table(k).counts
-    norm = 2**k - math.comb(k, k // 2)
+    words = 2**k
+    norm = words - math.comb(k, k // 2)
     # Each term is (s * n) / norm * bits, summed in ascending s; the digits depend on it.
     compressed = sum(s * n / norm * bits_for(s) for s, n in counts.items())
-    baseline = sum((s + 1) * n / 2**k * bits_for(s + 1) for s, n in counts.items())
+    baseline = sum((s + 1) * n / words * bits_for(s + 1) for s, n in counts.items())
     return compressed, baseline
 
 
@@ -95,7 +103,8 @@ def delta_lambda(lam: int) -> int:
     """Smallest even length whose full balanced code has at least ``lam`` words."""
     if lam < 1:
         raise ValueError(f"positive subset size required, got {lam}")
-    m = 0
+    m = (lam - 1).bit_length()  # ceil(log2 lam): C(m, m/2) <= 2**m, so no shorter m will do
+    m += m % 2
     while math.comb(m, m // 2) < lam:
         m += 2
     return m
@@ -111,52 +120,44 @@ def h1_prime(k: int) -> float:
     return _averages(k, delta_lambda)[1]
 
 
-def redundancy_row(k: int) -> RedundancyRow:
-    h, h1 = _averages(k, math.log2)
-    return RedundancyRow(k=k, h0=h0_exact(k), h=h, h1=h1, h2=h2_avg(k))
-
-
-def comparison_rows(k_list: Iterable[int]) -> list[RedundancyRow]:
+def comparison_rows(k_list) -> list[RedundancyRow]:
     """Average-prefix-bits comparison across schemes, one row per k."""
-    return [redundancy_row(k) for k in k_list]
+    return [RedundancyRow(k, h0_exact(k), *_averages(k, math.log2), h2_avg(k)) for k in k_list]
 
 
-def balanced_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, float, float, float, int]]:
+def balanced_prefix_rows(k_list) -> list[tuple[int, float, float, float, int]]:
     """Balanced-prefix averages next to the Knuth redundancy curve."""
-    return [
-        (k, *_averages(k, delta_lambda), math.log2(k), ceil_log2(k)) for k in k_list
-    ]
+    return [(k, *_averages(k, delta_lambda), math.log2(k), ceil_log2(k)) for k in k_list]
 
 
-def integer_prefix_rows(k_list: Iterable[int]) -> list[tuple[int, int, int, int]]:
+def integer_prefix_rows(k_list) -> list[tuple[int, int, int, int]]:
     """Rounded-up fixed prefix lengths: Knuth, baseline, compressed."""
     schemes = (Scheme.KNUTH, Scheme.BASELINE_FL, Scheme.PROPOSED_FL)
     return [(k, *(prefix_length(k, s) for s in schemes)) for k in k_list]
 
 
-def count_rows(k_list: Iterable[int]) -> list[tuple[int, int, int]]:
+def count_rows(k_list) -> list[tuple[int, int, int]]:
     """(k, size, count) triples of the exact enumeration."""
     return [(k, s, n) for k in k_list for s, n in count_table(k).counts.items()]
 
 
 #: Each table's CSV header and the function that builds its rows from a k list.
 _TABLES = {
-    "table1": (("k", "H0", "H", "H1", "H2"), comparison_rows),
-    "nlambda": (("k", "lambda", "N"), count_rows),
-    "fig2": (("k", "H_prime", "H1_prime", "log2k", "ceil_log2k"), balanced_prefix_rows),
-    "fig3": (("k", "knuth_bits", "baseline_fl_bits", "proposed_fl_bits"), integer_prefix_rows),
+    "table1": ("k,H0,H,H1,H2", comparison_rows),
+    "nlambda": ("k,lambda,N", count_rows),
+    "fig2": ("k,H_prime,H1_prime,log2k,ceil_log2k", balanced_prefix_rows),
+    "fig3": ("k,knuth_bits,baseline_fl_bits,proposed_fl_bits", integer_prefix_rows),
 }
 
 
-def emit_tables(what: str, k_list: Iterable[int], out: TextIO) -> None:
-    """Write one of the analytics tables as CSV, floats at 4 decimals.
+def emit_tables(what: str, k_list, out) -> None:
+    """Write one of the analytics tables to the text stream ``out`` as CSV, floats at 4 decimals.
 
     Every row is built before the first line is written, so a bad k writes nothing.
     """
     if what not in _TABLES:
         raise ValueError(f"unknown table {what!r}")
     header, rows_for = _TABLES[what]
-    rows = [[f"{v:.4f}" if isinstance(v, float) else v for v in row] for row in rows_for(k_list)]
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
+    lines = [header] + [",".join([f"{v:.4f}" if isinstance(v, float) else str(v) for v in row])
+                        for row in rows_for(k_list)]
+    out.write("\r\n".join(lines) + "\r\n")

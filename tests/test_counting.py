@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from balpack import counting
 from balpack.counting import (
     connection_matrix,
     count_table,
@@ -94,6 +95,15 @@ def test_identities_hold_exactly_up_to_64():
         for s, n in table.counts.items():
             assert n == (trace_closed_walks(s + 1, k) - 2 * trace_closed_walks(s, k)
                          + trace_closed_walks(s - 1, k))
+
+
+@pytest.mark.parametrize("k", [*range(0, 132, 2), 1022, 1024, 2048])
+def test_half_row_traces_equal_the_full_row_sum(k):
+    """Each trace is the same integer as the congruence-filtered sum over the whole row."""
+    row = [math.comb(k, j) for j in range(k + 1)]
+    widths = [*range(k // 2 + 2), k, k + 1, 3 * k + 7, 10**9]
+    assert counting._strip_traces(widths, k) == [
+        (b + 1) * sum(row[k // 2 % (b + 1)::b + 1]) - 2**k for b in widths]
 
 
 def test_baseline_counts_are_shifted():

@@ -1,8 +1,10 @@
 """The package namespace and the record types it exports."""
 
+import copy
 import doctest
 import importlib
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,18 @@ def test_records_are_immutable_values_built_by_keyword(cls, fields):
         assert getattr(record, name) == value
         with pytest.raises(AttributeError):
             setattr(record, name, value)
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=lambda v: getattr(v, "__name__", ""))
+def test_records_copy_and_pickle_as_themselves(cls, fields):
+    record = cls(**fields)
+    assert tuple(record) == tuple(fields.values())
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and type(twin) is cls
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    with pytest.raises(TypeError):
+        cls(*list(fields.values())[:1])
 
 
 def test_subset_listing_length_counts_members():

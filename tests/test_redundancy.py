@@ -108,6 +108,22 @@ def test_h2_hand_values():
     assert h2_avg(512) == pytest.approx(3.6330, abs=2e-3)
 
 
+def test_delta_lambda_starts_at_its_lower_bound():
+    """The same lengths as the plain search from m = 0, which C(m, m/2) <= 2**m makes redundant."""
+
+    def from_zero(lam):
+        m = 0
+        while math.comb(m, m // 2) < lam:
+            m += 2
+        return m
+
+    assert all(delta_lambda(lam) == from_zero(lam) for lam in range(1, (1 << 16) + 1))
+    for m in range(2, 402, 2):
+        full = math.comb(m, m // 2)
+        assert delta_lambda(full) == from_zero(full) == m
+        assert delta_lambda(full + 1) == from_zero(full + 1) == m + 2
+
+
 def test_delta_lambda_values():
     assert delta_lambda(1) == 0
     assert delta_lambda(2) == 2
@@ -151,38 +167,44 @@ def test_rows_helpers():
     assert count_rows([4]) == [(4, 1, 2), (4, 2, 4)]
 
 
+def emitted(what, k_list):
+    out = io.StringIO(newline="")  # keeps every "\r" as written
+    emit_tables(what, k_list, out)
+    return out.getvalue()
+
+
 def test_emit_table1_csv():
-    out = io.StringIO()
-    emit_tables("table1", [4], out)
-    assert out.getvalue().splitlines() == [
-        "k,H0,H,H1,H2",
-        "4,1.4150,0.8000,1.4387,0.5000",
-    ]
+    assert emitted("table1", [4]) == "k,H0,H,H1,H2\r\n4,1.4150,0.8000,1.4387,0.5000\r\n"
 
 
 def test_emit_nlambda_csv():
-    out = io.StringIO()
-    emit_tables("nlambda", [6], out)
-    assert out.getvalue().splitlines() == [
-        "k,lambda,N",
-        "6,1,2",
-        "6,2,12",
-        "6,3,6",
-    ]
+    assert emitted("nlambda", [6]) == "k,lambda,N\r\n6,1,2\r\n6,2,12\r\n6,3,6\r\n"
+
+
+def test_emit_nlambda_csv_writes_every_digit_of_the_large_counts():
+    counts = count_table(1024).counts
+    lines = emitted("nlambda", [1024]).split("\r\n")
+    assert lines[0] == "k,lambda,N" and lines[-1] == "" and len(lines) == 512 + 2
+    assert lines[1:-1] == [f"1024,{s},{counts[s]}" for s in range(1, 513)]
+    widest = max(counts, key=counts.get)
+    assert lines[widest] == f"1024,{widest}," + str(counts[widest])
+    assert len(str(counts[widest])) == 306  # a double would keep 17 of these digits
 
 
 def test_emit_fig_tables():
-    out = io.StringIO()
-    emit_tables("fig3", [256], out)
-    assert out.getvalue().splitlines()[1] == "256,8,8,7"
-    out = io.StringIO()
-    emit_tables("fig2", [4], out)
-    assert out.getvalue().splitlines() == [
-        "k,H_prime,H1_prime,log2k,ceil_log2k",
-        "4,1.6000,3.5000,2.0000,2",
-    ]
+    assert emitted("fig3", [256]) == (
+        "k,knuth_bits,baseline_fl_bits,proposed_fl_bits\r\n256,8,8,7\r\n")
+    assert emitted("fig2", [4]) == (
+        "k,H_prime,H1_prime,log2k,ceil_log2k\r\n4,1.6000,3.5000,2.0000,2\r\n")
     with pytest.raises(ValueError):
         emit_tables("bogus", [4], io.StringIO())
+
+
+def test_emit_tables_writes_nothing_when_a_row_fails():
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        emit_tables("nlambda", [4, 8, 7], out)
+    assert out.getvalue() == ""
 
 
 def test_domain_errors():

@@ -1325,6 +1325,19 @@ def test_cli_import_loads_only_the_codec_path():
     assert result.stdout.strip() == "[]"
 
 
+def test_analytics_import_loads_no_csv_re_or_typing():
+    """The analytics write CSV lines themselves and build their records as tuples."""
+    unwanted = ["csv", "re", "typing", "mpmath", "dataclasses", "fractions", "__future__"]
+    code = (f"import sys, balpack.redundancy, balpack.invariants; "
+            f"print([m for m in {unwanted!r} if m in sys.modules])")
+    src_dir = Path(balpack.__file__).resolve().parent.parent
+    result = subprocess.run(  # -S: no site module, whose .pth files may load these first
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src_dir)},
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_analytics_run_without_mpmath():
     """mpmath is only the optional cosine extra: tables and selfcheck run with it blocked."""
     code = ("import sys; sys.modules['mpmath'] = None; from balpack.cli import main; "

@@ -1,6 +1,7 @@
-"""Where the time of a cold ``balpack encode`` / ``decode`` call goes, piece by piece.
+"""Where the time of a cold ``balpack`` call goes, piece by piece.
 
 Usage: python tools/coldcall.py [--scheme NAME] [--k K] [--bytes N] [--runs N] [--against DIR]
+       python tools/coldcall.py --what TABLE [--runs N] [--against DIR]
 
 Each run encodes a seeded random file of ``--bytes`` bytes through
 ``balpack.cli.main`` in one fresh interpreter and decodes the stream in
@@ -26,6 +27,12 @@ median over ``--runs`` runs, in µs, of:
   children it reaped (``getrusage``, which counts what ``os.times()`` does
   in µs rather than clock ticks), so a split call shows the CPU it adds.
 
+``--what TABLE`` times a cold ``balpack tables --what TABLE --k-list
+4,8,...,2048`` instead, the call and k list the benchmark makes, with its
+standard output sent to a file; it prints the ``import``, ``parse``, ``call``
+and ``cpu`` pieces and exits 1 if a call fails or its output's sha256 is not
+the one ``perfbench/digests.json`` pins.
+
 It imports the ``balpack`` beside it, so a second checkout's copy measures
 that checkout.  ``--against DIR`` runs the checkout at DIR in the same
 rounds, the one that goes first alternating, and prints each piece's median
@@ -38,7 +45,9 @@ them in every run, and its ``import`` would time the compiler.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -49,8 +58,12 @@ from pathlib import Path
 SEED = 1024
 PIECES = ("import", "parse", "read", "byte_table", "gc_passes", "gc_us", "codec", "write", "call",
           "cpu")
+TABLE_PIECES = ("import", "parse", "call", "cpu")
+TABLES = ("table1", "nlambda", "fig2", "fig3")
+TABLE_K_LIST = ",".join(str(4 << i) for i in range(10))  # 4, 8, ..., 2048
 
-#: One cold call: ``python -c CHILD SRC_DIR CLI_ARGS...``; prints one JSON object of pieces.
+#: One cold call: ``python -c CHILD SRC_DIR STDOUT_FILE CLI_ARGS...``; prints one JSON
+#: object of pieces, with the call's standard output sent to STDOUT_FILE.
 CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
@@ -71,12 +84,13 @@ def timed(module, name, piece):
             spans.setdefault(piece, (begun, time.perf_counter()))
     setattr(module, name, wrapper)
 
-command = sys.argv[2]
+command = sys.argv[3]
 timed(cli, f"_cmd_{command}", "handler")
-timed(cli, "_coded" if hasattr(cli, "_coded")
-      else "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
-timed(cli, "_write", "write")
-timed(subsets, "_build_byte_span", "byte_table")
+if command in ("encode", "decode"):
+    timed(cli, "_coded" if hasattr(cli, "_coded")
+          else "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
+    timed(cli, "_write", "write")
+    timed(subsets, "_build_byte_span", "byte_table")
 def cpu_s():
     own, reaped = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
                                                        resource.RUSAGE_CHILDREN))
@@ -84,11 +98,14 @@ def cpu_s():
 
 passes = []
 gc.callbacks.append(lambda phase, info: passes.append(time.perf_counter()))
+stdout, sys.stdout = sys.stdout, open(sys.argv[2], "w")
 cpu_begun = cpu_s()
 begun = time.perf_counter()
-status = cli.main(sys.argv[2:])
+status = cli.main(sys.argv[3:])
 ended = time.perf_counter()
 cpu = cpu_s() - cpu_begun
+sys.stdout.close()
+sys.stdout = stdout
 gc.callbacks.clear()
 if status != 0:
     raise SystemExit(f"balpack {command} exited {status}")
@@ -98,7 +115,7 @@ collected = [(a, b) for a, b in zip(passes[0::2], passes[1::2]) if a < ended]
 print(json.dumps({
     "import": imported - start,
     "parse": spans["handler"][0] - begun,
-    "read": spans["codec"][0] - spans["handler"][0],
+    "read": spans["codec"][0] - spans["handler"][0] if "codec" in spans else None,
     "byte_table": length("byte_table"),
     "gc_passes": len(collected),
     "gc_us": sum(b - a for a, b in collected),
@@ -110,9 +127,9 @@ print(json.dumps({
 """
 
 
-def cold_call(root: Path, argv: list[str]) -> dict[str, float | None]:
+def cold_call(root: Path, argv: list[str], stdout: str = os.devnull) -> dict[str, float | None]:
     """The pieces of one ``balpack`` call in a fresh interpreter importing root/src/balpack."""
-    result = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), *argv],
+    result = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), stdout, *argv],
                             capture_output=True, text=True)
     if result.returncode != 0:
         raise SystemExit(f"{root}: balpack {' '.join(argv)}: {result.stderr.strip()}")
@@ -132,6 +149,15 @@ def round_trip(root: Path, work: Path, scheme: str, k: int, data: Path):
     return encode, decode
 
 
+def table_call(root: Path, work: Path, what: str, digest: str):
+    """The pieces of one cold ``balpack tables`` call of the checkout at root, as a 1-tuple."""
+    out = work / "table.csv"
+    pieces = cold_call(root, ["tables", "--what", what, "--k-list", TABLE_K_LIST], str(out))
+    if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+        raise SystemExit(f"{root}: tables --what {what}: the output differs from its pinned digest")
+    return (pieces,)
+
+
 def median(runs: list[dict], piece: str) -> float | None:
     values = [run[piece] for run in runs if run[piece] is not None]
     return statistics.median(values) if values else None
@@ -149,8 +175,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--runs", type=int, default=11, help="fresh-process runs (median)")
     parser.add_argument("--against", type=Path, metavar="DIR",
                         help="a second checkout to time in the same rounds")
+    parser.add_argument("--what", choices=TABLES,
+                        help="time a cold tables call of this table instead of a round trip")
     args = parser.parse_args(argv)
     roots = [Path(__file__).resolve().parent.parent]
+    if args.what:
+        digests = json.loads((roots[0] / "perfbench" / "digests.json").read_text())
+        digest = digests["tables"][args.what]
     if args.against:
         roots.append(args.against.resolve())
     for root in roots:
@@ -165,16 +196,22 @@ def main(argv: list[str] | None = None) -> int:
         data.write_bytes(random.Random(SEED).randbytes(args.bytes))
         for run in range(args.runs):
             for side in range(len(roots))[:: 1 if run % 2 == 0 else -1]:
-                for step, pieces in enumerate(round_trip(roots[side], work, args.scheme,
-                                                         args.k, data)):
+                calls = (table_call(roots[side], work, args.what, digest) if args.what else
+                         round_trip(roots[side], work, args.scheme, args.k, data))
+                for step, pieces in enumerate(calls):
                     runs[side][step].append(pieces)
-    print(f"{args.scheme} k = {args.k}, {args.bytes} bytes, medians of {args.runs} "
-          f"fresh processes per call, µs")
-    print("piece encode decode" if len(roots) == 1 else
-          "piece encode against ratio wins decode against ratio wins")
-    for piece in PIECES:
+    if args.what:
+        print(f"tables --what {args.what} --k-list {TABLE_K_LIST}, medians of {args.runs} "
+              f"fresh processes, µs")
+        sides, shown = ["tables"], TABLE_PIECES
+    else:
+        print(f"{args.scheme} k = {args.k}, {args.bytes} bytes, medians of {args.runs} "
+              f"fresh processes per call, µs")
+        sides, shown = ["encode", "decode"], PIECES
+    print("piece", *(side if len(roots) == 1 else f"{side} against ratio wins" for side in sides))
+    for piece in shown:
         columns = []
-        for step in (0, 1):  # encode, decode
+        for step in range(len(sides)):
             mine = median(runs[0][step], piece)
             columns.append(show(mine))
             if len(roots) == 2:
