@@ -9,7 +9,8 @@ any bit pattern, which is what lets balanced words travel prefix-less.
 Input is checked once per stream.  The core, :func:`frame_bytes` /
 :func:`deframe_bytes`, works over bytes plus a payload bit count: every block
 travels as an integer from input bytes to output bytes, through the int
-kernel :class:`balpack.subsets.BlockCodec`, and no bit string is built.
+kernel :class:`balpack.subsets.BlockCodec` or, when encoding some k, the
+lanes below, and no bit string is built.
 :func:`frame_stream` / :func:`deframe_stream` are its checking string adapters.
 
 Every block is coded on its own and every frame carries its own length, so
@@ -17,6 +18,17 @@ a stream also codes as contiguous block ranges that need nothing from each
 other: :func:`frame_range` / :func:`deframe_range` code one, and
 :func:`frame_bytes` / :func:`deframe_bytes` are the one-range case.  This
 module never starts a process; the CLI decides where each range runs.
+
+For k a multiple of 8 up to ``LANE_K_MAX`` = 32, :func:`frame_range`
+encodes ``LANE_BLOCKS`` = 1,024 blocks at a time with
+:func:`balpack.subsets.encode_lanes` and lays their frames out by
+extended-slice byte copies, one frame in k / 8 + 2 bytes.  The output is
+allocated once for the longest frames and cut to size, so a call peaks at
+the stream plus one walk's working set, the same for any file.  The lanes
+are one byte wide, so the walk's cost per block grows as k, as the byte
+walk's k / 8 steps do (lanes k bits wide would grow as k^2).  It stops at
+k = 32, past which the 4B6B prefix needs two sextets, more than the one
+prefix byte of the layout.  Other k, and every decode, go block by block.
 
 Knuth and BASELINE_FL frames all have one size, ``k`` plus the scheme's
 prefix bits behind the same varint.  :func:`deframe_range` reads a chunk of
@@ -27,15 +39,18 @@ is; only that loop reports errors.  :func:`frame_ranges` finds their cuts
 by multiplication.
 """
 
+from itertools import compress
 from operator import itemgetter
 
 from .errors import BalpackError, InputLengthError, StreamCorruptError
-from .subsets import BlockCodec, Scheme
+from .subsets import BlockCodec, Scheme, encode_lanes
 
 MAGIC = b"BPK1"
 HEADER_SIZE = 16  # magic (4 bytes), k (2), scheme (1), pad flag (1), payload bits (8), big-endian
 MAX_K = 0xFFFE  # the largest even k the 16-bit header field holds
 _CHECK_SLICE = 1 << 16  # input characters checked per copy
+LANE_K_MAX = 32  # the largest k that frame_range codes in lanes
+LANE_BLOCKS = 1024  # blocks per lane walk
 
 
 class StreamHeader(tuple):
@@ -211,6 +226,8 @@ def frame_range(data: bytes, header: StreamHeader, first: int, last: int) -> byt
     """
     k = header.k
     codec = BlockCodec(k, header.scheme)
+    if not k % 8 and k <= LANE_K_MAX:
+        return _frame_lanes(data, b"" if first else header.pack(), codec, first, last)
     out = bytearray(b"" if first else header.pack())
     # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
     shapes = []
@@ -229,6 +246,62 @@ def frame_range(data: bytes, header: StreamHeader, first: int, last: int) -> byt
             head, nbytes, slack = shapes[p]
             out += (head | packet << slack).to_bytes(nbytes, "big")
     return out
+
+
+def _frame_lanes(data: bytes, head: bytes, codec: BlockCodec, first: int,
+                 last: int) -> bytearray:
+    """:func:`frame_range` for k a multiple of 8 up to ``LANE_K_MAX``, ``LANE_BLOCKS`` at a time.
+
+    The output is sized for the longest frames and cut to the bytes written.
+    """
+    width = codec.k // 8
+    out = bytearray(len(head) + (last - first) * (width + 2))
+    out[: len(head)] = head
+    pos = len(head)
+    for start in range(first, last, LANE_BLOCKS):
+        count = min(LANE_BLOCKS, last - start)
+        chunk = data[start * width : (start + count) * width]  # short in a ragged last block only
+        pos = _lane_frames(out, pos, chunk.ljust(count * width, b"\0"), count, codec)
+    del out[pos:]
+    return out
+
+
+def _lane_frames(out: bytearray, pos: int, data: bytes, count: int, codec: BlockCodec) -> int:
+    """Write the frames of the ``count`` blocks in ``data`` to ``out`` at ``pos``; their end.
+
+    :func:`balpack.subsets.encode_lanes` codes the blocks.  Every frame is
+    laid out in ``k / 8 + 2`` bytes: the varint, the prefix byte and the
+    payload.  The lanes' packets, shifted up a byte and then each down by
+    its prefix bits, are the bodies, and ``itertools.compress`` drops the
+    last byte of each prefix-less frame.
+    """
+    k, step = codec.k, codec.k // 8 + 2
+    payloads, prefixes, lengths = encode_lanes(data, count, codec)
+    lanes = bytearray(count * step)
+    lanes[1::step] = prefixes
+    for i, plane in enumerate(payloads):
+        lanes[2 + i :: step] = plane
+    del payloads
+    body = int.from_bytes(lanes, "big") << 8
+    for p in set(lengths) - {0}:  # each lane down by its prefix bits
+        if lengths.count(p) == count:
+            body >>= p
+            continue
+        flags = bytearray(len(lanes))
+        flags[step - 1 :: step] = lengths.translate(bytes(p) + b"\1" + bytes(255 - p))
+        flags = int.from_bytes(flags, "big")
+        shifted = body & (flags << 8 * step) - flags  # the lanes with p prefix bits
+        body ^= shifted ^ shifted >> p
+    lanes[:] = body.to_bytes(count * step, "big")
+    del body
+    lanes[::step] = lengths.translate(bytes(range(k, 256)) + bytes(k))  # p to k + p
+    size = len(lanes) - lengths.count(0)
+    if size < len(lanes):
+        keep = bytearray(b"\1") * len(lanes)
+        keep[step - 1 :: step] = lengths.translate(b"\0" + b"\1" * 255)
+        lanes = compress(lanes, keep)
+    out[pos : pos + size] = lanes
+    return pos + size
 
 
 def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,

@@ -22,13 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import cli, counting, invariants
+from balpack import cli, counting, invariants, stream, subsets
 from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import CountTable, count_table, subset_size_count
 from balpack.errors import InputLengthError, StreamCorruptError
 from balpack.stream import (
     _CHECK_SLICE,
     HEADER_SIZE,
+    LANE_BLOCKS,
+    LANE_K_MAX,
     MAGIC,
     MAX_K,
     StreamHeader,
@@ -48,7 +50,7 @@ from balpack.stream import (
     input_header,
 )
 from balpack.invariants import selfcheck
-from balpack.subsets import Scheme, ceil_log2, prefix_length
+from balpack.subsets import BlockCodec, Scheme, ceil_log2, prefix_length
 from balpack.words import decode_packet, encode_packet, is_balanced
 
 ALL_SCHEMES = list(Scheme)
@@ -385,12 +387,16 @@ def test_block_kernel_matches_per_packet_path(scheme, k, pad_mode):
 
 # sha256 of frame_bytes(random.Random(16).randbytes(4097), k, scheme, pad_mode=True),
 # computed with the two-walk ranked encoder (balancing index search, then the
-# listing of y); k = 6, 18, 66 and 1002 end each block in a partial byte
+# listing of y); k = 6, 18, 66 and 1002 end each block in a partial byte.  The
+# k = 8 and 32 rows were computed with the byte walk, before the lane encoder
+# coded those k.
 PINNED_STREAM_SHA256 = {
     Scheme.KNUTH: {
         6: "7b26d528b7ebe2f3cd78319b7e307d4a30ef31b73aa2e17e3b5ad689c868477d",
+        8: "118eee0c543d7da61c2d8775b973f84fb5a836e3cd9cd9aa483b45249ded802d",
         16: "9815f3c8e814a23c7bdac971960a4082da3d61aadf81bf29d7754af6699701ad",
         18: "5f0418b08a0ab1dc861c95892a1888d625de272171fd26bdd5b082277e58a0d2",
+        32: "eaf8a07756c7f4f69c4fd893ba1870fac5f581d15e84c36ce0a99dcebd1db82f",
         64: "f14f18d8fdd086b59e742b0574f53d36e798906dca415ba861ff7ab74ccb10ed",
         66: "f096d7d81801236d794d5671b798f3fd5e44aac7bac7a39547ca7f07e03e84af",
         1002: "60035f4ccd407e240f30921d60af3417774cb059cea8b5eb74b281831f8d5d24",
@@ -398,8 +404,10 @@ PINNED_STREAM_SHA256 = {
     },
     Scheme.BASELINE_FL: {
         6: "202e33ba79e3a94c55fef477126b5a30c85d0b883cce0397497ba91874f521b8",
+        8: "54130feb5fadd328d9882eb2e5154d1fb0c93adf0f17c3ac1d3323400ccd28ac",
         16: "7baf8107f4b329f67e6f122eed4a3ea7f702bf6fdfbe23db76ebda07ce7a8e02",
         18: "3b3ab3fb6d023cab3710d47c6e85815a5cd6a664368c9bdc23c2a3a4d09e17ef",
+        32: "19dfe061dc619ba39e5a0263d1f86c89298553b3682749a9969f2a0b4edeb810",
         64: "527331c836dfe9a1f65d42c23fa94e643fe4fff53228a30501b5ed5c6558d762",
         66: "1eadb4d58fdf101e18a2f29c29d4dedaa4f4496ff0ef96e9b099116092c6efed",
         1002: "26b338d6b51adc0656cb4138049c580ca6bd2ce04f38bf277cad68de50abe1b4",
@@ -407,8 +415,10 @@ PINNED_STREAM_SHA256 = {
     },
     Scheme.PROPOSED_FL: {
         6: "cf21c99707898e317aae136b6b8a41bd1a7a7a16da3fb552d944f8740916c4d4",
+        8: "ea05caae45647b4ad9263268bac915f3e383435587ec47ac6f1e4a6107b9de11",
         16: "c93915a2872385aef7a4f317ea5aedc7f5b0fabd96ab06f0c7b1e771f94f5e46",
         18: "bec8ad4f5b942733f44a995e20dbcd55ca3c7c0c385f3b7a47a215c7f64c2890",
+        32: "0661036802751d135d2927e25e665c461636142476870350c49fe45b7beecf19",
         64: "c9c662bfafb11fa23bd08d4309ffa5f88c29181332f7e385b02d59eec30e773c",
         66: "b54bf37afd3301d291ceff8afdd694b14384493440a3ac97a9760bfea1d80176",
         1002: "48e387360f10c5766750aad0c5e869c53574ec68b4196d5731681bc21a7dc966",
@@ -416,8 +426,10 @@ PINNED_STREAM_SHA256 = {
     },
     Scheme.PROPOSED_VL: {
         6: "21b27c402c4389c6eb1bd7a8cb082303664200843de7c41cd56e78aa0d738899",
+        8: "ef683d58f518d8610d3c69f707b66132cdb437a727263e23443d6c0d9c58cd9d",
         16: "63d5153d65ac3de518b38f7e7532e177ed4cdbf74b51af6c48eb55eac8d4fd25",
         18: "e8299c8f2c328d67493a77b624d9f987b629fe22ba9a8c4c759d029189a11968",
+        32: "80f46fd41dca7aa60e936fb38208205195087472b4dfd750412f3627a8363436",
         64: "7edf0756ff6dfdc9b134e62beb1b40c4b4217fd058b471b4331cb8a602ac06e2",
         66: "76c91f305732fc513ca48725726f949f25484acd022d2d1b8c5e8a47009ce2c8",
         1002: "0de44df3fda1e989c4e15176756b753036c32c9f1981ea9baf988e56f00ecd70",
@@ -425,8 +437,10 @@ PINNED_STREAM_SHA256 = {
     },
     Scheme.PROPOSED_FULL: {
         6: "5120f6b478f1afd0ece2f452d822a591a1036b812b5becc46a635e7a06f014c5",
+        8: "3c6f6c1934930a924bf1cd8657dd246e1584b503104d56505f79509a9cc5f594",
         16: "26342e26dbf67287d38bc995838cefec10cb2aad3a4487c41014d8ff5246227e",
         18: "e7d35f624804bbcf3c3abf8fcdf1d2f3b91f3d0a1b6c7fa6358fefa33e4796f8",
+        32: "9a571e2234c149991f5e1bb8ca023c4817d746a4737352c8558ef0dd40e8534e",
         64: "874c3fe5d75ecff14fc5fb84517f0e8c95153cc0764e2ca39a57d53a4611f4b6",
         66: "235e2c54cdccc95a2dc122070022bc4b231be94b9fcd2d09ba1d53999316192e",
         1002: "e30aaae87b017aeb29b65f803a4dbef075f5d929eddda77723a9ddcd8f13a9a6",
@@ -435,7 +449,7 @@ PINNED_STREAM_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("k", [6, 16, 18, 64, 66, 1002, 1024])
+@pytest.mark.parametrize("k", [6, 8, 16, 18, 32, 64, 66, 1002, 1024])
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_pinned_stream_digests(scheme, k):
     # every k here is >= 4, so PROPOSED_FL and PROPOSED_FULL code them all
@@ -499,6 +513,97 @@ def test_framing_peaks_at_its_output_plus_32_kib(k):
             tracemalloc.stop()
         assert result == expect
         assert peak <= len(result) + (32 << 10), (side, peak >> 10, len(result) >> 10)
+
+
+LANE_KS = list(range(8, LANE_K_MAX + 1, 8))
+
+
+def framed_block_by_block(data: bytes, k: int, scheme: Scheme, pad_mode: bool,
+                          bit_count: int) -> bytearray:
+    """The stream of ``frame_bytes``, one ``BlockCodec.encode`` and one frame per block."""
+    codec = BlockCodec(k, scheme)
+    blocks = -(-bit_count // k)
+    value = int.from_bytes(data, "big") >> 8 * len(data) - bit_count << blocks * k - bit_count
+    out = bytearray(StreamHeader(k, scheme, pad_mode, bit_count).pack())
+    for i in range(blocks):
+        packet, p = codec.encode(value >> k * (blocks - 1 - i) & codec.mask)
+        out += encode_varint(k + p) + (packet << -(k + p) % 8).to_bytes((k + p + 7) // 8, "big")
+    return out
+
+
+def assert_frames_block_by_block(data: bytes, k: int, scheme: Scheme, cut: int = 0) -> None:
+    """``frame_bytes`` of ``data`` less its last ``cut`` bits (zero-filled, padded if any)."""
+    bit_count = 8 * len(data) - cut
+    data = (int.from_bytes(data, "big") >> cut << cut % 8).to_bytes(-(-bit_count // 8), "big")
+    pad = bool(bit_count % k)
+    assert frame_bytes(data, k, scheme, pad, bit_count) == framed_block_by_block(
+        data, k, scheme, pad, bit_count)
+
+
+def every_block(k: int, blocks: int) -> bytes:
+    """``blocks`` k-bit blocks counting up from 0, wrapping after all 2**k."""
+    return b"".join((i % (1 << k)).to_bytes(k // 8, "big") for i in range(blocks))
+
+
+@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_encoder_matches_the_kernel_on_every_block(scheme, k):
+    """Every one of the 2**k blocks, in order, codes as ``BlockCodec.encode`` codes it."""
+    assert_frames_block_by_block(every_block(k, 1 << k), k, scheme)
+    for blocks in (LANE_BLOCKS - 1, LANE_BLOCKS, LANE_BLOCKS + 1):  # each whole and ragged
+        data = every_block(k, blocks)
+        for cut in (0, 1, k // 2 + 3):
+            assert_frames_block_by_block(data, k, scheme, cut)
+
+
+@pytest.mark.parametrize("k", LANE_KS + [LANE_K_MAX + 8])  # the first k past the lanes walks
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_encoder_matches_the_kernel_on_random_streams(scheme, k):
+    rng = random.Random(k)
+    for blocks in (1, 3, LANE_BLOCKS * 2 + 5):
+        data = rng.randbytes(blocks * k // 8)
+        assert_frames_block_by_block(data, k, scheme)
+        assert_frames_block_by_block(data, k, scheme, cut=rng.randrange(1, k))
+
+
+@pytest.mark.parametrize("k", [4, 6, *LANE_KS, 34, 40, 64, 1024])
+def test_the_lane_encoder_codes_k_a_multiple_of_8_up_to_its_cut_over(monkeypatch, k):
+    calls = []
+    encode_lanes = stream.encode_lanes
+    monkeypatch.setattr(stream, "encode_lanes", lambda *args: calls.append(args[1]) or
+                        encode_lanes(*args))
+    blocks = 3 * LANE_BLOCKS + 1
+    frame_bytes(random.Random(k).randbytes(-(-blocks * k // 8)), k, Scheme.PROPOSED_VL, True)
+    if k % 8 or k > LANE_K_MAX:
+        assert calls == []
+    else:
+        assert sum(calls) == blocks and max(calls) == LANE_BLOCKS
+
+
+def test_the_lane_masks_are_built_per_call():
+    """The lane walk keeps no mask, table or lane value in a module after it returns."""
+    frame_bytes(random.Random(8).randbytes(4096), 16, Scheme.PROPOSED_FULL)
+    for module in (stream, subsets):
+        kept = [name for name, value in vars(module).items()
+                if isinstance(value, int) and value.bit_length() > 64
+                or isinstance(value, (bytes, bytearray)) and len(value) > len(MAGIC)]
+        assert kept == [], module.__name__
+
+
+def test_lane_framing_memory_is_bounded_per_walk():
+    """Above the stream it returns, ``frame_bytes`` peaks the same for 64 KiB and 1 MiB."""
+    above = {}
+    for size in (64 << 10, 1 << 20):
+        payload = random.Random(size).randbytes(size)
+        tracemalloc.start()
+        try:
+            result = frame_bytes(payload, 16, Scheme.PROPOSED_VL)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) > size
+        above[size] = peak - current
+    assert abs(above[64 << 10] - above[1 << 20]) <= 4 << 10, {s: a >> 10 for s, a in above.items()}
 
 
 def test_header_claiming_2_63_bits_is_not_believed():

@@ -14,6 +14,7 @@ median over ``--runs`` runs, in µs, of:
 - ``read``: from entering the handler to calling the codec (opening and
   reading the input);
 - ``byte_table``: the first ``subsets._build_byte_span``, inside ``codec``;
+  ``n/a`` for a call that never builds it, as a lane-coded encode;
 - ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes that
   start before ``main`` returns, as a count and in µs, inside whichever
   piece made them;
@@ -164,7 +165,7 @@ def median(runs: list[dict], piece: str) -> float | None:
 
 
 def show(value: float | None) -> str:
-    return "-" if value is None else f"{value:.1f}"
+    return "n/a" if value is None else f"{value:.1f}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -216,7 +217,10 @@ def main(argv: list[str] | None = None) -> int:
             columns.append(show(mine))
             if len(roots) == 2:
                 theirs = median(runs[1][step], piece)
-                ratio = f"{mine / theirs:.3f}" if mine is not None and theirs else "-"
+                if mine is None or theirs is None:
+                    columns.append(f"{show(theirs)} n/a n/a")
+                    continue
+                ratio = f"{mine / theirs:.3f}" if theirs else "-"
                 wins = sum(a[piece] is not None and b[piece] is not None and a[piece] < b[piece]
                            for a, b in zip(runs[0][step], runs[1][step]))
                 columns.append(f"{show(theirs)} {ratio} {wins}/{args.runs}")

@@ -1,12 +1,13 @@
 """In-process encode and decode rates of every scheme on a seeded 64 KiB file.
 
-Usage: python tools/rates.py [--runs N] [--against DIR]
+Usage: python tools/rates.py [--runs N] [--k K[,K...]] [--against DIR]
 
 Times :func:`balpack.stream.frame_bytes` and :func:`balpack.stream.deframe_bytes`
 on the same bytes, prints the median of ``--runs`` runs in Mbit/s of input
-per scheme and block length, and exits 1 if any round trip differs from its
-input.  It imports the ``balpack`` beside it, so a second checkout's copy
-measures that checkout.
+per scheme and block length (``--k``, by default ``BLOCK_LENGTHS``: both
+sides of the lane encoder's cut-over at k = 32, and the byte walk beyond
+it), and exits 1 if any round trip differs from its input.  It imports the
+``balpack`` beside it, so a second checkout's copy measures that checkout.
 
 ``--against DIR`` loads the ``balpack`` of the checkout at DIR into the same
 interpreter as well.  Each round times both copies on the same bytes, the
@@ -34,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-BLOCK_LENGTHS = (16, 64, 256, 1024)
+BLOCK_LENGTHS = (8, 16, 32, 64, 256, 1024)
 SEED = 64
 
 
@@ -72,6 +73,8 @@ def time_round_trip(copy, name: str, k: int, data: bytes) -> tuple[float, float]
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=5, help="timed runs per rate (median)")
+    parser.add_argument("--k", default=",".join(map(str, BLOCK_LENGTHS)),
+                        help="comma-separated block lengths")
     parser.add_argument("--against", type=Path, metavar="DIR",
                         help="a second checkout to time in the same rounds")
     args = parser.parse_args(argv)
@@ -82,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     mbit = 8 * len(data) / 1e6
     print("scheme k encode_mbps decode_mbps" if len(copies) == 1 else
           "scheme k encode_mbps against ratio wins decode_mbps against ratio wins")
-    for k in BLOCK_LENGTHS:
+    for k in map(int, args.k.split(",")):
         for name in copies[0][0]:
             times = [[] for _ in copies]  # per copy, per run: (encode s, decode s)
             for run in range(args.runs):
