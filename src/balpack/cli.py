@@ -32,11 +32,14 @@ DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 #: Blocks each process must have before a stream is split.  A fork, its pipe
 #: and its reaping cost about 1.4 ms, and a 2-way split first wins at about
-#: 4096 blocks per process (README, Performance).  Lane-coded encodes still
+#: 4096 blocks per process (README, Performance).  Lane-coded calls still
 #: gain from it: on a 64 KiB file at k = 16, 11 alternating cold calls on two
-#: CPUs against ``taskset -c 0`` (``tools/coldcall.py``) took ``call`` from
-#: 5.44 to 4.87 ms for Knuth and from 11.9 to 10.4 ms for proposed-fl (10 of
-#: 11 each), for 43% and 38% more ``cpu``.  Decodes still walk byte by byte.
+#: CPUs against ``taskset -c 0`` (``tools/coldcall.py``) took the encode
+#: ``call`` from 5.44 to 4.87 ms for Knuth and from 11.9 to 10.4 ms for
+#: proposed-fl (10 of 11 each), for 43% and 38% more ``cpu``; 13 took the
+#: lane decode from 10.7 to 7.96 ms (12 of 13) and from 30.3 to 23.4 ms (10
+#: of 13), for 15% and 36% more.  A prefix-less split decode first walks the
+#: frame heads up to the cut, in ``read``.
 MIN_BLOCKS_PER_WORKER = 4096
 
 

@@ -9,8 +9,8 @@ any bit pattern, which is what lets balanced words travel prefix-less.
 Input is checked once per stream.  The core, :func:`frame_bytes` /
 :func:`deframe_bytes`, works over bytes plus a payload bit count: every block
 travels as an integer from input bytes to output bytes, through the int
-kernel :class:`balpack.subsets.BlockCodec` or, when encoding some k, the
-lanes below, and no bit string is built.
+kernel :class:`balpack.subsets.BlockCodec` or, at some k, the lanes below,
+and no bit string is built.
 :func:`frame_stream` / :func:`deframe_stream` are its checking string adapters.
 
 Every block is coded on its own and every frame carries its own length, so
@@ -19,37 +19,43 @@ other: :func:`frame_range` / :func:`deframe_range` code one, and
 :func:`frame_bytes` / :func:`deframe_bytes` are the one-range case.  This
 module never starts a process; the CLI decides where each range runs.
 
-For k a multiple of 8 up to ``LANE_K_MAX`` = 32, :func:`frame_range`
-encodes ``LANE_BLOCKS`` = 1,024 blocks at a time with
-:func:`balpack.subsets.encode_lanes` and lays their frames out by
-extended-slice byte copies, one frame in k / 8 + 2 bytes.  The output is
-allocated once for the longest frames and cut to size, so a call peaks at
-the stream plus one walk's working set, the same for any file.  The lanes
-are one byte wide, so the walk's cost per block grows as k, as the byte
-walk's k / 8 steps do (lanes k bits wide would grow as k^2).  It stops at
-k = 32, past which the 4B6B prefix needs two sextets, more than the one
-prefix byte of the layout.  Other k, and every decode, go block by block.
+For k a multiple of 8 up to ``LANE_K_MAX`` = 32, both directions code
+``LANE_BLOCKS`` = 1,024 blocks at a time in lanes.  :func:`frame_range`
+codes them with :func:`balpack.subsets.encode_lanes` and lays their frames
+out by extended-slice byte copies, one frame in k / 8 + 2 bytes.  The
+output is allocated once for the longest frames and cut to size.
+:func:`deframe_range` gathers a walk's frames into that layout, which for
+the prefix-less schemes takes one walk over the heads, and decodes them
+with :func:`balpack.subsets.decode_lanes`.  It takes the blocks only if
+encoding them gives the same bytes, so a walk is checked by one compare;
+a walk that fails it is read again frame by frame.  Either way a call
+peaks at the stream plus one walk's working set, the same for any file.
+The lanes are one byte wide, so a walk's cost per block grows as k, as
+the byte walk's k / 8 steps do (lanes k bits wide would grow as k^2).
+They stop at k = 32, past which the 4B6B prefix needs two sextets, more
+than the one prefix byte of the layout.  Other k go block by block.
 
-Knuth and BASELINE_FL frames all have one size, ``k`` plus the scheme's
-prefix bits behind the same varint.  :func:`deframe_range` reads a chunk of
-them with one ``int.from_bytes``, checks every head and slack bit in it with
-one masked compare, and shifts the packets out.  A chunk that fails, or
-whose kernel raises, is read again frame by frame, as a short last chunk
-is; only that loop reports errors.  :func:`frame_ranges` finds their cuts
-by multiplication.
+At other k, Knuth and BASELINE_FL frames all have one size, ``k`` plus the
+scheme's prefix bits behind the same varint.  :func:`deframe_range` reads a
+chunk of them with one ``int.from_bytes``, checks every head and slack bit
+in it with one masked compare, and shifts the packets out.  A chunk that
+fails, or whose kernel raises, is read again frame by frame, as a short
+last chunk is.  Only the frame loop reports errors, so a stream fails with
+the same message and packet index on every path.  :func:`frame_ranges`
+finds the cuts of one-size frames by multiplication.
 """
 
 from itertools import compress
 from operator import itemgetter
 
 from .errors import BalpackError, InputLengthError, StreamCorruptError
-from .subsets import BlockCodec, Scheme, encode_lanes
+from .subsets import BlockCodec, Scheme, decode_lanes, encode_lanes
 
 MAGIC = b"BPK1"
 HEADER_SIZE = 16  # magic (4 bytes), k (2), scheme (1), pad flag (1), payload bits (8), big-endian
 MAX_K = 0xFFFE  # the largest even k the 16-bit header field holds
 _CHECK_SLICE = 1 << 16  # input characters checked per copy
-LANE_K_MAX = 32  # the largest k that frame_range codes in lanes
+LANE_K_MAX = 32  # the largest k that frame_range and deframe_range code in lanes
 LANE_BLOCKS = 1024  # blocks per lane walk
 
 
@@ -201,13 +207,7 @@ def frame_ranges(data: bytes, header: StreamHeader, count: int) -> list[tuple[in
         offsets, offset, index = [HEADER_SIZE], HEADER_SIZE, 0
         try:
             for first, _ in ranges[1:]:
-                for _ in range(first - index):
-                    bit_length = data[offset]  # one-byte varints skip the call
-                    if bit_length < 0x80:
-                        offset += 1
-                    else:
-                        bit_length, offset = decode_varint(data, offset, len(varint))
-                    offset += body[bit_length]
+                offset = _skip_frames(data, offset, first - index, body, len(varint))
                 offsets.append(offset)
                 index = first
         except (IndexError, KeyError, StreamCorruptError):
@@ -215,6 +215,26 @@ def frame_ranges(data: bytes, header: StreamHeader, count: int) -> list[tuple[in
     if offset >= len(data):
         return whole
     return [(first, last, offset) for (first, last), offset in zip(ranges, offsets)]
+
+
+def _skip_frames(data: bytes, offset: int, count: int, body: dict[int, int], max_varint: int,
+                 cuts: list[int] | None = None, short: int | None = None) -> int:
+    """The offset ``count`` frames after ``offset``, a frame being a varint n and ``body[n]`` bytes.
+
+    ``cuts`` gets the offset after each frame of ``short`` bits.  A head that
+    is not one the scheme makes raises IndexError, KeyError or
+    StreamCorruptError; a body is not read, so it may end past the data.
+    """
+    for _ in range(count):
+        bit_length = data[offset]  # one-byte varints skip the call
+        if bit_length < 0x80:
+            offset += 1
+        else:
+            bit_length, offset = decode_varint(data, offset, max_varint)
+        offset += body[bit_length]
+        if bit_length == short:
+            cuts.append(offset)
+    return offset
 
 
 def frame_range(data: bytes, header: StreamHeader, first: int, last: int) -> bytearray:
@@ -304,6 +324,60 @@ def _lane_frames(out: bytearray, pos: int, data: bytes, count: int, codec: Block
     return pos + size
 
 
+def _lane_blocks(out: bytearray, data: bytes, offset: int, count: int, codec: BlockCodec) -> int | None:
+    """Append to ``out`` the ``count`` blocks framed from ``offset``; the offset after them, or None.
+
+    The inverse of :func:`_lane_frames`.  The frames go to its ``k / 8 + 2``
+    byte layout, a prefix-less one with a zero byte after it, which takes one
+    walk over the heads; one-size frames already have it.  With the heads
+    cleared, each lane goes up by its prefix bits and all down a byte, so the
+    prefix ends its own byte, and :func:`balpack.subsets.decode_lanes`
+    decodes the lanes.  The frames are taken only if :func:`_lane_frames`
+    codes those blocks to the same bytes, so every rule a frame must keep is
+    checked by one compare: None means a head the scheme does not make, a
+    stream that ends or a frame that is not the one its block codes to, and
+    the frame loop then names the error.
+    """
+    k, step = codec.k, codec.k // 8 + 2
+    if codec.prefix_less:
+        sizes = {n: (n + 7) // 8 for n in range(k, k + codec.max_prefix + 1)}
+        cuts = [offset]
+        try:
+            end = _skip_frames(data, offset, count, sizes, 1, cuts, k)
+        except (IndexError, KeyError, StreamCorruptError):
+            return None
+        cuts.append(end)
+        lanes = bytearray(b"\0").join([data[a:b] for a, b in zip(cuts, cuts[1:])])
+        lengths = lanes[::step].translate(bytes(k) + bytes(range(256 - k)))  # k + p to p
+    else:  # the re-encode checks the heads
+        end = offset + count * step
+        lanes = bytearray(data[offset:end])
+        lengths = bytes((codec.max_prefix,)) * count
+    if len(lanes) != count * step:
+        return None
+    lanes[::step] = bytes(count)
+    body = int.from_bytes(lanes, "big")
+    for p in set(lengths) - {0}:  # each lane up by its prefix bits
+        if lengths.count(p) == count:
+            body <<= p
+            continue
+        flags = bytearray(len(lanes))
+        flags[step - 1 :: step] = lengths.translate(bytes(p) + b"\1" + bytes(255 - p))
+        flags = int.from_bytes(flags, "big")
+        shifted = body & (flags << 8 * step) - flags  # the lanes with p prefix bits
+        body ^= shifted ^ shifted << p
+    lanes = (body >> 8).to_bytes(count * step, "big")
+    del body
+    blocks = decode_lanes([lanes[i :: step] for i in range(2, step)], lanes[1::step], lengths, codec)
+    del lanes, lengths
+    coded = bytearray()
+    _lane_frames(coded, 0, blocks, count, codec)
+    if coded != data[offset:end]:
+        return None
+    out += blocks
+    return end
+
+
 def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
                 bit_count: int | None = None) -> bytearray:
     """Encode the first ``bit_count`` bits of ``data`` (all of them by default) into a stream.
@@ -334,7 +408,8 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
               for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
     frames, end = header.blocks, len(data)
-    one_shape = not codec.prefix_less
+    lanes = not k % 8 and k <= LANE_K_MAX
+    one_shape = not (codec.prefix_less or lanes)
     if one_shape:  # every frame max_bits long: a chunk's heads and slack bits are one pattern
         varint, (nbytes, slack, slack_mask, prefix) = encode_varint(max_bits), shapes[max_bits]
         step, packet_mask = len(varint) + nbytes, (1 << max_bits) - 1
@@ -343,10 +418,17 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
         check = int.from_bytes((b"\xff" * len(varint) + slack_mask.to_bytes(nbytes, "big"))
                                * per_chunk, "big")
         packets = range(8 * (span - step) + slack, -1, -8 * step)  # the shift of each packet
+    walk = LANE_BLOCKS if lanes else per_chunk
     out = bytearray()
-    for start in range(first, last, per_chunk):
-        count = min(per_chunk, last - start)
-        if one_shape and count == per_chunk and offset + span <= end:  # else frame by frame
+    for start in range(first, last, walk):
+        count = min(walk, last - start)
+        if lanes:  # else frame by frame
+            walked = _lane_blocks(out, data, offset, count, codec)
+            if walked is not None:
+                offset = walked
+                group = int.from_bytes(out[-(k // 8):], "big")  # the last block
+                continue
+        elif one_shape and count == per_chunk and offset + span <= end:  # else frame by frame
             value = int.from_bytes(data[offset : offset + span], "big")
             if value & check == heads:
                 try:
@@ -382,7 +464,7 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
             except (BalpackError, ValueError) as exc:
                 raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
             group = group << k | x
-        out += (group << k * (per_chunk - count)).to_bytes(size, "big")
+        out += (group << -count * k % 8).to_bytes(-(-count * k // 8), "big")
     if last < frames:
         return out
     if offset < end:
@@ -391,7 +473,7 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
         )
     if payload % k and group & ((1 << k - payload % k) - 1):  # the last packet's fill
         raise StreamCorruptError(f"packet {frames - 1}: nonzero pad fill", packet_index=frames - 1)
-    del out[-(-payload // 8) - first * k // 8:]  # the zero fill of a short last chunk
+    del out[-(-payload // 8) - first * k // 8:]  # the zero fill of a short last block
     return out
 
 

@@ -33,20 +33,25 @@ any other byte is read off its records, not bit by bit.  The same table
 serves the one level search, :func:`level_index`: Knuth's first balancing
 index, and the first return to 0 of a balanced block.
 
-For k a multiple of 8 from 8 to 32, encode has a lane walk,
-:func:`encode_lanes`, which codes a chunk of blocks at once.  Each block is
-a lane of integers with one byte per block, its bytes spread over k / 8
-such planes, and k steps of whole-integer arithmetic read bit j of every
-block at once and work out every scheme's prefix for the whole chunk.
-Byte-wide lanes make a step cost one byte of arithmetic per block at any
-k, so the walk grows as k per block, as the byte walk does (k / 8 bytes);
-lanes k bits wide would grow as k^2.  A 64 KiB stream encodes 5-10x
-faster than on the byte walk at k = 16 and 4-8x at k = 32.  The walk stops
-at k = 32, past which the 4B6B prefix of PROPOSED_FULL outgrows the one
-prefix byte of the frame layout; the lanes would hold the sums up to 84.
-:mod:`balpack.stream` picks the walk by k alone; :meth:`BlockCodec.encode`
-codes every other k, decodes stay on the byte walk, and the tests hold
-the lanes to :meth:`BlockCodec.encode`.
+For k a multiple of 8 from 8 to 32, a chunk of blocks is coded at once by
+lane walks: :func:`encode_lanes` and its inverse :func:`decode_lanes`.
+Each block is a lane of integers with one byte per block, its bytes spread
+over k / 8 such planes, and k steps of whole-integer arithmetic read bit j
+of every block at once.  The encoder works out every scheme's prefix for
+the whole chunk.  The decoder walks y twice, once for lambda and the
+records and once to count them up to the one the rank names; Knuth's
+inversion length is the rank plus one, and needs no walk.  Both decoder
+passes use the encoder's record arithmetic.  Byte-wide lanes make a step
+cost one byte of arithmetic per block at any k, so a walk grows as k per
+block, as the byte walk does (k / 8 bytes); lanes k bits wide would grow
+as k^2.  A 64 KiB stream encodes 5-10x faster than on the byte walk at
+k = 16 and 4-8x at k = 32, and decodes 3-6x and 3-4x faster.  The walks
+stop at k = 32, past which the 4B6B prefix of PROPOSED_FULL outgrows the
+one prefix byte of the frame layout; the lanes would hold the sums up to
+84.  :mod:`balpack.stream` picks the walks by k alone, :class:`BlockCodec`
+codes every other k, and the tests hold the lanes to it.  The decoder
+checks nothing: :mod:`balpack.stream` takes a chunk it decodes only if the
+encoder codes it back to the same frames.
 
 Schemes
 -------
@@ -303,6 +308,79 @@ def encode_lanes(data: bytes, n: int, codec: "BlockCodec") -> tuple[list[bytes],
         table[: len(ranks)] = (balance_rank(r, codec.rank_bits) for r in ranks)
         prefixes = prefixes.translate(table)
     return payloads([i & ~balanced for i in inv]), prefixes, lengths  # balanced x goes as it is
+
+
+def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
+                 codec: "BlockCodec") -> bytearray:
+    """The blocks, k / 8 bytes each, whose lanes :func:`encode_lanes` codes to these.
+
+    The inverse of :func:`encode_lanes` on its own output, in the same byte
+    lanes: ``planes`` are y's k / 8 payload planes, ``prefixes`` each block's
+    prefix and ``lengths`` its prefix bit count, one byte per block.  Nothing
+    is checked: on other input the blocks are garbage, and the caller tells
+    by coding them again.  Knuth inverts rank + 1 bits.  A prefix-less block
+    is y.  Otherwise the first pass walks y as the encoder does, for lambda
+    and Z, the records that a 0 follows; rank r < Z names the r-th of those,
+    else the (lambda - 1 - r)-th record that a 1 follows, and BASELINE_FL's
+    rank lambda the first return to 0.  The second pass counts the chosen
+    records down from 0x80 plus that index: e is the number of steps that
+    start with the count at 0x80 or more, as a record at bit j is known
+    chosen only at bit j + 1.
+    """
+    k, n = codec.k, len(prefixes)
+    ones = int.from_bytes(b"\1" * n, "big")
+    y = [int.from_bytes(plane, "big") for plane in planes]
+    if codec.knuth:  # e = rank + 1
+        e = prefixes.translate(bytes(range(1, 256)) + b"\0")
+    else:
+        if codec.full:  # each sextet back to its rank; any other byte to 0
+            table = bytearray(256)
+            for r in range(1 << codec.rank_bits):
+                table[balance_rank(r, codec.rank_bits)] = r
+            prefixes = prefixes.translate(table)
+        rank = int.from_bytes(prefixes, "big")  # below 0x40: no lane borrows
+        records = [0] * len(y)  # planes: is y's bit j a record, in bit j + 1's place
+        below = above = 0x7F * ones
+        record = 0
+        for j in range(k):
+            records[j >> 3] |= record << (7 - j & 7)
+            yj = y[j >> 3] >> (7 - j & 7) & ones
+            nj = yj ^ ones
+            rise = yj & below >> 7
+            fall = nj & above >> 7
+            below = below + nj - rise
+            above = above + yj - fall
+            record = ones ^ (rise | fall)
+        lam = below + above - 0xFE * ones
+        counts = bytes(map(int.bit_count, range(256)))
+        z = sum(int.from_bytes((r & ~p).to_bytes(n, "big").translate(counts), "big")
+                for r, p in zip(records, y))
+        zeros = z + 0x7F * ones - rank >> 7 & ones  # rank < Z: count records a 0 follows
+        count = 0x7F * ones + lam - rank  # 0x80 plus lambda - 1 - rank
+        count ^= (count ^ 0x80 * ones ^ rank) & zeros * 0xFF  # 0x80 plus rank
+        chosen = [r & (p ^ zeros * 0xFF) for r, p in zip(records, y)]  # records of that kind
+        e = 0
+        for j in range(k):
+            count -= chosen[j >> 3] >> (7 - j & 7) & ones
+            e += count >> 7 & ones
+        plain = int.from_bytes(lengths.translate(b"\xff" + bytes(255)), "big")
+        if not codec.prefix_less:  # rank lambda: e is the first return to 0
+            past = 0x80 * ones + lam - rank
+            back = (past & ~(past - ones)) >> 7 & ones  # rank = lambda
+            run, away, ret = 0x80 * ones, ones, 0
+            for j in range(k):
+                ret += away
+                yj = y[j >> 3] >> (7 - j & 7) & ones
+                run += yj + yj - ones
+                away ^= away & (run & ~(run - ones)) >> 7
+            e ^= (e ^ ret) & back * 0xFF
+        e = (e & ~plain).to_bytes(n, "big")  # a prefix-less block is y
+    blocks = bytearray(n * len(y))
+    ramp = bytes(0xFF00 >> i & 0xFF for i in range(8))
+    for i, plane in enumerate(y):  # byte i of the first e bits' inversion, per e
+        inverted = e.translate((bytes(8 * i) + ramp + b"\xff" * 256)[:256])
+        blocks[i :: len(y)] = (plane ^ int.from_bytes(inverted, "big")).to_bytes(n, "big")
+    return blocks
 
 
 def ceil_log2(n: int) -> int:

@@ -581,8 +581,8 @@ def test_the_lane_encoder_codes_k_a_multiple_of_8_up_to_its_cut_over(monkeypatch
 
 
 def test_the_lane_masks_are_built_per_call():
-    """The lane walk keeps no mask, table or lane value in a module after it returns."""
-    frame_bytes(random.Random(8).randbytes(4096), 16, Scheme.PROPOSED_FULL)
+    """The lane walks keep no mask, table or lane value in a module after they return."""
+    deframe_bytes(frame_bytes(random.Random(8).randbytes(4096), 16, Scheme.PROPOSED_FULL))
     for module in (stream, subsets):
         kept = [name for name, value in vars(module).items()
                 if isinstance(value, int) and value.bit_length() > 64
@@ -602,6 +602,156 @@ def test_lane_framing_memory_is_bounded_per_walk():
         finally:
             tracemalloc.stop()
         assert len(result) > size
+        above[size] = peak - current
+    assert abs(above[64 << 10] - above[1 << 20]) <= 4 << 10, {s: a >> 10 for s, a in above.items()}
+
+
+def deframed_block_by_block(stream: bytes) -> bytes:
+    """The payload of ``stream``, one ``BlockCodec.decode`` per frame, each block in k / 8 bytes."""
+    header = StreamHeader.unpack(stream)
+    codec = BlockCodec(header.k, header.scheme)
+    blocks = []
+    for at in _frame_offsets(stream):
+        bit_length, at = decode_varint(stream, at)
+        value = int.from_bytes(stream[at : at + (bit_length + 7) // 8], "big")
+        blocks.append(codec.decode(value >> -bit_length % 8, bit_length - header.k))
+    return b"".join(x.to_bytes(header.k // 8, "big") for x in blocks)
+
+
+@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_decoder_matches_the_kernel_on_every_block(scheme, k):
+    """Every one of the 2**k blocks decodes through the lanes as ``BlockCodec.decode`` decodes it."""
+    codec, data = BlockCodec(k, scheme), every_block(k, 1 << k)
+    packets = [codec.encode(x) for x in range(1 << k)]
+    planes = [bytes(v >> k - 8 - 8 * i & 0xFF for v, _ in packets) for i in range(k // 8)]
+    prefixes = bytes(v >> k for v, _ in packets)
+    lengths = bytes(p for _, p in packets)
+    assert subsets.decode_lanes(planes, prefixes, lengths, codec) == data
+    stream = bytes(frame_bytes(data, k, scheme))
+    assert deframe_bytes(stream) == (data, 8 * len(data))
+    assert deframed_block_by_block(stream) == data
+
+
+@pytest.mark.parametrize("k", LANE_KS + [LANE_K_MAX + 8])  # the first k past the lanes walks
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_decoder_round_trips_random_streams(scheme, k):
+    """Streams of a walk, a block either side of it, and with a ragged padded tail, decode."""
+    rng = random.Random(k)
+    for blocks in (LANE_BLOCKS - 1, LANE_BLOCKS, LANE_BLOCKS + 1):
+        data = rng.randbytes(blocks * k // 8)
+        stream = bytes(frame_bytes(data, k, scheme))
+        assert deframe_bytes(stream) == (data, 8 * len(data))
+        for cut in (1, 8, k - 1):  # the last block ragged, cut bits short of whole
+            bits = 8 * len(data) - cut
+            payload = (int.from_bytes(data, "big") >> cut << cut % 8).to_bytes(-(-bits // 8), "big")
+            assert deframe_bytes(frame_bytes(payload, k, scheme, True, bits)) == (payload, bits)
+    assert deframed_block_by_block(stream) == data
+
+
+@pytest.mark.parametrize("k", [4, 6, *LANE_KS, 34, 40, 64, 1024])
+def test_the_lane_decoder_decodes_k_a_multiple_of_8_up_to_its_cut_over(monkeypatch, k):
+    calls = []
+    decode_lanes = stream.decode_lanes
+    monkeypatch.setattr(stream, "decode_lanes", lambda *args: calls.append(len(args[1])) or
+                        decode_lanes(*args))
+    blocks = 3 * LANE_BLOCKS + 1
+    data = random.Random(k).randbytes(-(-blocks * k // 8))
+    encoded = bytes(frame_bytes(data, k, Scheme.PROPOSED_VL, True))
+    assert deframe_bytes(encoded) == (data, 8 * len(data))
+    if k % 8 or k > LANE_K_MAX:
+        assert calls == []
+    else:
+        assert sum(calls) == blocks and max(calls) == LANE_BLOCKS
+
+
+@pytest.mark.parametrize("k", LANE_KS)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_decoding_a_valid_stream_never_reaches_the_byte_walk(monkeypatch, scheme, k):
+    """No walk of a valid stream falls back to the frame loop: the byte-walk table stays unbuilt."""
+    rng = random.Random(k)
+    data = rng.randbytes((LANE_BLOCKS + 5) * k // 8)
+    ragged = frame_bytes(data[:-1], k, scheme, True)
+    whole = frame_bytes(data, k, scheme)
+    monkeypatch.setattr(subsets, "_BYTE_SPAN", None)
+    assert deframe_bytes(whole) == (data, 8 * len(data))
+    assert deframe_bytes(ragged) == (data[:-1], 8 * len(data) - 8)
+    assert subsets._BYTE_SPAN is None
+
+
+def frame_loop_outcome(data: bytes):
+    """``deframe_bytes`` of ``data`` with the lane decoder cut out: its output or its error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stream, "LANE_K_MAX", 0)
+        try:
+            return deframe_bytes(data)
+        except StreamCorruptError as exc:
+            return str(exc), exc.packet_index
+
+
+@pytest.mark.parametrize("k", LANE_KS)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_nonzero_pad_fill_after_a_lane_walk_rejected(scheme, k):
+    """A header claiming 4 bits fewer leaves a 1 in the fill of a walk the lanes accept."""
+    stream = frame_bytes(bytes(k // 4 - 1) + b"\x01", k, scheme, True)
+    claim = StreamHeader(k=k, scheme=scheme, pad_mode=True, payload_bit_count=2 * k - 4)
+    corrupt = claim.pack() + stream[HEADER_SIZE:]
+    assert _corrupt_index(corrupt) == 1
+    assert frame_loop_outcome(corrupt) == ("packet 1: nonzero pad fill", 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_SCHEMES), st.sampled_from(LANE_KS), st.booleans(),
+       st.sampled_from(["first", "middle", "last"]), st.randoms(use_true_random=False))
+def test_lane_decoder_rejects_mutations_as_the_frame_loop_does(scheme, k, pad_mode, walk, rng):
+    """A mutated stream of three walks decodes as the frame loop decodes it, or fails as it does.
+
+    The mutations (bit flips, byte inserts and deletes, truncation) fall in
+    the first walk, a middle one or the short last one.  A stream that
+    decodes is canonical: it is the stream of its payload.
+    """
+    blocks = 2 * LANE_BLOCKS + rng.randrange(1, LANE_BLOCKS)
+    n = blocks * k - (rng.randrange(1, k) if pad_mode else 0)
+    data = random.Random(rng.getrandbits(32)).getrandbits(n) << -n % 8  # too long to draw
+    corrupt = bytearray(frame_bytes(data.to_bytes((n + 7) // 8, "big"), k, scheme, pad_mode, n))
+    offsets = _frame_offsets(corrupt) + [len(corrupt)]
+    first = {"first": 0, "middle": LANE_BLOCKS, "last": 2 * LANE_BLOCKS}[walk]
+    low, high = offsets[first], offsets[min(first + LANE_BLOCKS, blocks)]
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(low, high), rng.randrange(4)
+        if op == 0:
+            corrupt[i] ^= 1 << rng.randrange(8)
+        elif op == 1:
+            corrupt.insert(i, rng.randrange(256))
+        elif op == 2:
+            del corrupt[i]
+        else:
+            del corrupt[i:]
+        high = min(high, len(corrupt))
+    corrupt = bytes(corrupt)
+    expected = frame_loop_outcome(corrupt)
+    try:
+        decoded = deframe_bytes(corrupt)
+    except StreamCorruptError as exc:
+        assert (str(exc), exc.packet_index) == expected
+        return
+    assert decoded == expected
+    assert frame_bytes(*decoded[:1], k, scheme, pad_mode, decoded[1]) == corrupt
+
+
+def test_lane_deframing_memory_is_bounded_per_walk():
+    """Above the payload it returns, ``deframe_bytes`` peaks the same for 64 KiB and 1 MiB."""
+    above = {}
+    for size in (64 << 10, 1 << 20):
+        payload = random.Random(size).randbytes(size)
+        encoded = bytes(frame_bytes(payload, 16, Scheme.PROPOSED_VL))
+        tracemalloc.start()
+        try:
+            result = deframe_bytes(encoded)[0]
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == payload
         above[size] = peak - current
     assert abs(above[64 << 10] - above[1 << 20]) <= 4 << 10, {s: a >> 10 for s, a in above.items()}
 

@@ -14,7 +14,7 @@ median over ``--runs`` runs, in µs, of:
 - ``read``: from entering the handler to calling the codec (opening and
   reading the input);
 - ``byte_table``: the first ``subsets._build_byte_span``, inside ``codec``;
-  ``n/a`` for a call that never builds it, as a lane-coded encode;
+  ``n/a`` for a call that never builds it, as a lane-coded one;
 - ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes that
   start before ``main`` returns, as a count and in µs, inside whichever
   piece made them;

@@ -5,9 +5,10 @@ Usage: python tools/rates.py [--runs N] [--k K[,K...]] [--against DIR]
 Times :func:`balpack.stream.frame_bytes` and :func:`balpack.stream.deframe_bytes`
 on the same bytes, prints the median of ``--runs`` runs in Mbit/s of input
 per scheme and block length (``--k``, by default ``BLOCK_LENGTHS``: both
-sides of the lane encoder's cut-over at k = 32, and the byte walk beyond
-it), and exits 1 if any round trip differs from its input.  It imports the
-``balpack`` beside it, so a second checkout's copy measures that checkout.
+sides of the cut-over at k = 32 from the lane walks, which encode and
+decode k = 8 to 32, to the byte walk beyond it), and exits 1 if any round
+trip differs from its input.  It imports the ``balpack`` beside it, so a
+second checkout's copy measures that checkout.
 
 ``--against DIR`` loads the ``balpack`` of the checkout at DIR into the same
 interpreter as well.  Each round times both copies on the same bytes, the
