@@ -26,10 +26,12 @@ out by extended-slice byte copies, one frame in k / 8 + 2 bytes.  The
 output is allocated once for the longest frames and cut to size.
 :func:`deframe_range` gathers a walk's frames into that layout, which for
 the prefix-less schemes takes one walk over the heads, and decodes them
-with :func:`balpack.subsets.decode_lanes`.  It takes the blocks only if
-encoding them gives the same bytes, so a walk is checked by one compare;
-a walk that fails it is read again frame by frame.  Either way a call
-peaks at the stream plus one walk's working set, the same for any file.
+with :func:`balpack.subsets.decode_lanes`.  The lanes make the frame
+loop's checks themselves: every head is k plus a prefix length the scheme
+may have, every slack bit is zero, and ``decode_lanes`` makes those of
+:meth:`balpack.subsets.BlockCodec.decode`.  A walk with a frame that fails
+any of them is read again frame by frame.  Either way a call peaks at the
+stream plus one walk's working set, the same for any file.
 The lanes are one byte wide, so a walk's cost per block grows as k, as
 the byte walk's k / 8 steps do (lanes k bits wide would grow as k^2).
 They stop at k = 32, past which the 4B6B prefix needs two sextets, more
@@ -327,16 +329,12 @@ def _lane_frames(out: bytearray, pos: int, data: bytes, count: int, codec: Block
 def _lane_blocks(out: bytearray, data: bytes, offset: int, count: int, codec: BlockCodec) -> int | None:
     """Append to ``out`` the ``count`` blocks framed from ``offset``; the offset after them, or None.
 
-    The inverse of :func:`_lane_frames`.  The frames go to its ``k / 8 + 2``
-    byte layout, a prefix-less one with a zero byte after it, which takes one
-    walk over the heads; one-size frames already have it.  With the heads
-    cleared, each lane goes up by its prefix bits and all down a byte, so the
-    prefix ends its own byte, and :func:`balpack.subsets.decode_lanes`
-    decodes the lanes.  The frames are taken only if :func:`_lane_frames`
-    codes those blocks to the same bytes, so every rule a frame must keep is
-    checked by one compare: None means a head the scheme does not make, a
-    stream that ends or a frame that is not the one its block codes to, and
-    the frame loop then names the error.
+    The frames go to the ``k / 8 + 2`` byte layout of :func:`_lane_frames`,
+    a prefix-less one with a zero byte after it, which takes one walk over
+    the heads; one-size frames already have it.  :func:`_lane_decode` checks
+    and decodes them.  None means a head that is not a one-byte varint, a
+    stream that ends, or a frame that no block codes to, and the frame loop
+    then names the error.
     """
     k, step = codec.k, codec.k // 8 + 2
     if codec.prefix_less:
@@ -348,34 +346,54 @@ def _lane_blocks(out: bytearray, data: bytes, offset: int, count: int, codec: Bl
             return None
         cuts.append(end)
         lanes = bytearray(b"\0").join([data[a:b] for a, b in zip(cuts, cuts[1:])])
-        lengths = lanes[::step].translate(bytes(k) + bytes(range(256 - k)))  # k + p to p
-    else:  # the re-encode checks the heads
+    else:
         end = offset + count * step
         lanes = bytearray(data[offset:end])
-        lengths = bytes((codec.max_prefix,)) * count
     if len(lanes) != count * step:
         return None
+    blocks, rejected = _lane_decode(lanes, count, codec)
+    if rejected:
+        return None
+    out += blocks
+    return end
+
+
+def _lane_decode(lanes: bytearray, count: int, codec: BlockCodec) -> tuple[bytearray, int]:
+    """The blocks of ``count`` frames laid out as :func:`_lane_frames` lays them, and the bad ones.
+
+    Each frame is its head, then its body in ``k / 8 + 1`` bytes.  The second
+    value has a nonzero byte in each frame's lane that the frame loop would
+    reject: a head outside k..k + max_prefix, nonzero slack bits, or a
+    packet :func:`balpack.subsets.decode_lanes` finds no block for.  With the
+    heads cleared, each lane goes up by its prefix bits, so the prefix fills
+    the head's byte and the slack bits the last byte, which must be zero.
+    ``lanes`` is emptied.
+    """
+    k, p_max, step = codec.k, codec.max_prefix, codec.k // 8 + 2
+    heads = lanes[::step]
+    lengths = heads.translate(bytes(k) + bytes(range(p_max + 1)) + bytes(255 - k - p_max))
+    outside = b"\1" * k + bytes(p_max + 1) + b"\1" * (255 - k - p_max)
+    rejected = int.from_bytes(heads.translate(outside), "big")
+    del heads
     lanes[::step] = bytes(count)
     body = int.from_bytes(lanes, "big")
+    lanes.clear()
     for p in set(lengths) - {0}:  # each lane up by its prefix bits
         if lengths.count(p) == count:
             body <<= p
             continue
-        flags = bytearray(len(lanes))
+        flags = bytearray(count * step)
         flags[step - 1 :: step] = lengths.translate(bytes(p) + b"\1" + bytes(255 - p))
         flags = int.from_bytes(flags, "big")
         shifted = body & (flags << 8 * step) - flags  # the lanes with p prefix bits
         body ^= shifted ^ shifted << p
-    lanes = (body >> 8).to_bytes(count * step, "big")
+    lanes = body.to_bytes(count * step, "big")
     del body
-    blocks = decode_lanes([lanes[i :: step] for i in range(2, step)], lanes[1::step], lengths, codec)
-    del lanes, lengths
-    coded = bytearray()
-    _lane_frames(coded, 0, blocks, count, codec)
-    if coded != data[offset:end]:
-        return None
-    out += blocks
-    return end
+    planes, prefixes = [lanes[i :: step] for i in range(1, step - 1)], lanes[::step]
+    rejected |= int.from_bytes(lanes[step - 1 :: step], "big")  # the slack bits
+    del lanes
+    blocks, bad = decode_lanes(planes, prefixes, lengths, codec)
+    return blocks, rejected | bad
 
 
 def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,

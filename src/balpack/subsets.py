@@ -40,18 +40,20 @@ over k / 8 such planes, and k steps of whole-integer arithmetic read bit j
 of every block at once.  The encoder works out every scheme's prefix for
 the whole chunk.  The decoder walks y twice, once for lambda and the
 records and once to count them up to the one the rank names; Knuth's
-inversion length is the rank plus one, and needs no walk.  Both decoder
-passes use the encoder's record arithmetic.  Byte-wide lanes make a step
-cost one byte of arithmetic per block at any k, so a walk grows as k per
-block, as the byte walk does (k / 8 bytes); lanes k bits wide would grow
-as k^2.  A 64 KiB stream encodes 5-10x faster than on the byte walk at
-k = 16 and 4-8x at k = 32, and decodes 3-6x and 3-4x faster.  The walks
-stop at k = 32, past which the 4B6B prefix of PROPOSED_FULL outgrows the
-one prefix byte of the frame layout; the lanes would hold the sums up to
-84.  :mod:`balpack.stream` picks the walks by k alone, :class:`BlockCodec`
-codes every other k, and the tests hold the lanes to it.  The decoder
-checks nothing: :mod:`balpack.stream` takes a chunk it decodes only if the
-encoder codes it back to the same frames.
+inversion length is the rank plus one, and one walk checks that it is x's
+first balancing index.  The decoder passes use the encoder's record
+arithmetic.  Byte-wide lanes make a step cost one byte of arithmetic per
+block at any k, so a walk grows as k per block, as the byte walk does
+(k / 8 bytes); lanes k bits wide would grow as k^2.  A 64 KiB stream
+encodes 5-10x faster than on the byte walk at k = 16 and 4-8x at k = 32,
+and decodes 6-9x and 6-7x faster.  The walks stop at k = 32, past which
+the 4B6B prefix of PROPOSED_FULL outgrows the one prefix byte of the frame
+layout; the lanes would hold the sums up to 84.  :mod:`balpack.stream`
+picks the walks by k alone, :class:`BlockCodec` codes every other k, and
+the tests hold the lanes to it.  The decoder makes, in the same lanes,
+every check of :meth:`BlockCodec.decode`, which specifies them, and names
+the lanes that fail; the tests compare the two on every frame at k = 8 and
+on every payload and prefix at k = 16.
 
 Schemes
 -------
@@ -311,35 +313,70 @@ def encode_lanes(data: bytes, n: int, codec: "BlockCodec") -> tuple[list[bytes],
 
 
 def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
-                 codec: "BlockCodec") -> bytearray:
-    """The blocks, k / 8 bytes each, whose lanes :func:`encode_lanes` codes to these.
+                 codec: "BlockCodec") -> tuple[bytearray, int]:
+    """The blocks, k / 8 bytes each, of these lanes, and the lanes that no block codes to.
 
-    The inverse of :func:`encode_lanes` on its own output, in the same byte
-    lanes: ``planes`` are y's k / 8 payload planes, ``prefixes`` each block's
-    prefix and ``lengths`` its prefix bit count, one byte per block.  Nothing
-    is checked: on other input the blocks are garbage, and the caller tells
-    by coding them again.  Knuth inverts rank + 1 bits.  A prefix-less block
-    is y.  Otherwise the first pass walks y as the encoder does, for lambda
-    and Z, the records that a 0 follows; rank r < Z names the r-th of those,
-    else the (lambda - 1 - r)-th record that a 1 follows, and BASELINE_FL's
-    rank lambda the first return to 0.  The second pass counts the chosen
-    records down from 0x80 plus that index: e is the number of steps that
-    start with the count at 0x80 or more, as a record at bit j is known
-    chosen only at bit j + 1.
+    The inverse of :func:`encode_lanes` in the same byte lanes: ``planes`` are
+    y's k / 8 payload planes, ``prefixes`` each block's prefix and ``lengths``
+    its prefix bit count, one byte per block.  The second value has a nonzero
+    byte in each lane whose packet :meth:`BlockCodec.decode` rejects, and that
+    lane's block is garbage; the checks are the kernel's, which specify them.
+    y must be balanced, one sum of popcount planes against k / 2.  The length
+    must be one the scheme makes, VL's that of lambda.  A 4B6B prefix must be
+    a codeword with a zero fill; any other sextet is a rank past every
+    subset.  The rank must name a member: below lambda, or up to lambda for
+    BASELINE_FL, whose rank lambda is the first return to 0.
+
+    Knuth inverts rank + 1 bits, e, which must be x's first balancing index:
+    y's sum at e lies above its sums at 1..e - 1 if y's bit e is a 1, else
+    below them.  With y's first e - 1 bits kept, inverted in the second case,
+    and the rest zero, that is a walk whose highest sum is its one at e - 1.
+    A prefix-less block is y.  Otherwise the first pass walks y as the
+    encoder does, for lambda and Z, the records that a 0 follows; rank r < Z
+    names the r-th of those, else the (lambda - 1 - r)-th record that a 1
+    follows.  The second pass counts the chosen records down from 0x80 plus
+    that index: e is the number of steps that start with the count at 0x80
+    or more, as a record at bit j is known chosen only at bit j + 1.
     """
-    k, n = codec.k, len(prefixes)
+    k, n, width = codec.k, len(prefixes), codec.k // 8
     ones = int.from_bytes(b"\1" * n, "big")
     y = [int.from_bytes(plane, "big") for plane in planes]
-    if codec.knuth:  # e = rank + 1
+    counts = bytes(map(int.bit_count, range(256)))
+    made = bytearray(b"\1") * 256  # 0 at each prefix length the scheme makes
+    made[codec.max_prefix] = 0
+    if codec.prefix_less:
+        made[0] = 0
+    if codec.vl:
+        made[: codec.max_prefix] = bytes(codec.max_prefix)
+    weight = sum(int.from_bytes(plane.translate(counts), "big") for plane in planes)
+    rejected = weight ^ codec.half * ones | int.from_bytes(lengths.translate(made), "big")
+    ramp = bytes(0xFF00 >> i & 0xFF for i in range(8))  # per plane, by e: its byte of e leading 1s
+    firsts = [(bytes(8 * i) + ramp + b"\xff" * 256)[:256] for i in range(width)]
+    if codec.knuth:
         e = prefixes.translate(bytes(range(1, 256)) + b"\0")
+        inverted = [int.from_bytes(e.translate(first), "big") for first in firsts]
+        walk = [int.from_bytes(prefixes.translate(first), "big") for first in firsts]  # e - 1 bits
+        bit_e = sum(p & (i ^ b) for p, i, b in zip(y, inverted, walk))
+        down = int.from_bytes(bit_e.to_bytes(n, "big").translate(b"\xff" + bytes(255)), "big")
+        for i, p in enumerate(y):
+            walk[i] &= p ^ down
+        del bit_e, down
+        below = 0x7F * ones  # the distance below the walk's highest sum from bit 1 on, plus 0x7F
+        for j in range(1, k):
+            wj = walk[j >> 3] >> (7 - j & 7) & ones
+            below += (wj ^ ones) - (wj & below >> 7)
+        # the distance at e - 1 is 0 exactly when it ends at 0x7F + k - rank (0x7E + k for e = 1,
+        # as bit 1 is then zero fill); a rank of k or more maps to 0, where no walk ends
+        end = bytes((0x7E + k,)) + bytes(range(0x7E + k, 0x7F, -1)) + bytes(256 - k)
+        rejected |= below ^ int.from_bytes(prefixes.translate(end), "big")
     else:
-        if codec.full:  # each sextet back to its rank; any other byte to 0
-            table = bytearray(256)
+        if codec.full:  # each sextet back to its rank; a non-codeword or nonzero fill past them all
+            table = bytearray(b"\x3f") * 256
             for r in range(1 << codec.rank_bits):
                 table[balance_rank(r, codec.rank_bits)] = r
             prefixes = prefixes.translate(table)
         rank = int.from_bytes(prefixes, "big")  # below 0x40: no lane borrows
-        records = [0] * len(y)  # planes: is y's bit j a record, in bit j + 1's place
+        records = [0] * width  # planes: is y's bit j a record, in bit j + 1's place
         below = above = 0x7F * ones
         record = 0
         for j in range(k):
@@ -352,21 +389,26 @@ def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
             above = above + yj - fall
             record = ones ^ (rise | fall)
         lam = below + above - 0xFE * ones
-        counts = bytes(map(int.bit_count, range(256)))
+        plain = int.from_bytes(lengths.translate(b"\xff" + bytes(255)), "big")
+        count = 0x7F * ones + lam - rank  # 0x80 plus lambda - 1 - rank
+        inside = count if codec.prefix_less else count + ones  # bit 7: a member's rank
+        rejected |= ~inside & 0x80 * ones & ~plain
+        if codec.vl:
+            table = bytearray(256)
+            table[1 : k // 2 + 1] = map(_vl_prefix, range(1, k // 2 + 1))
+            rejected |= (int.from_bytes(lam.to_bytes(n, "big").translate(table), "big")
+                         ^ int.from_bytes(lengths, "big")) & ~plain
         z = sum(int.from_bytes((r & ~p).to_bytes(n, "big").translate(counts), "big")
                 for r, p in zip(records, y))
         zeros = z + 0x7F * ones - rank >> 7 & ones  # rank < Z: count records a 0 follows
-        count = 0x7F * ones + lam - rank  # 0x80 plus lambda - 1 - rank
         count ^= (count ^ 0x80 * ones ^ rank) & zeros * 0xFF  # 0x80 plus rank
         chosen = [r & (p ^ zeros * 0xFF) for r, p in zip(records, y)]  # records of that kind
         e = 0
         for j in range(k):
             count -= chosen[j >> 3] >> (7 - j & 7) & ones
             e += count >> 7 & ones
-        plain = int.from_bytes(lengths.translate(b"\xff" + bytes(255)), "big")
         if not codec.prefix_less:  # rank lambda: e is the first return to 0
-            past = 0x80 * ones + lam - rank
-            back = (past & ~(past - ones)) >> 7 & ones  # rank = lambda
+            back = (inside & ~(inside - ones)) >> 7 & ones  # rank = lambda
             run, away, ret = 0x80 * ones, ones, 0
             for j in range(k):
                 ret += away
@@ -375,12 +417,11 @@ def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
                 away ^= away & (run & ~(run - ones)) >> 7
             e ^= (e ^ ret) & back * 0xFF
         e = (e & ~plain).to_bytes(n, "big")  # a prefix-less block is y
-    blocks = bytearray(n * len(y))
-    ramp = bytes(0xFF00 >> i & 0xFF for i in range(8))
-    for i, plane in enumerate(y):  # byte i of the first e bits' inversion, per e
-        inverted = e.translate((bytes(8 * i) + ramp + b"\xff" * 256)[:256])
-        blocks[i :: len(y)] = (plane ^ int.from_bytes(inverted, "big")).to_bytes(n, "big")
-    return blocks
+        inverted = [int.from_bytes(e.translate(first), "big") for first in firsts]
+    blocks = bytearray(n * width)
+    for i, (plane, inv) in enumerate(zip(y, inverted)):
+        blocks[i::width] = (plane ^ inv).to_bytes(n, "big")
+    return blocks, rejected
 
 
 def ceil_log2(n: int) -> int:

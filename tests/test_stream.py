@@ -1,5 +1,6 @@
 """Framing, self-check and CLI tests."""
 
+import contextlib
 import copy
 import gc
 import hashlib
@@ -22,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balpack
-from balpack import cli, counting, invariants, stream, subsets
+from balpack import cli, counting, fourb6b, invariants, stream, subsets
 from balpack.cli import SCHEME_NAMES, main
 from balpack.counting import CountTable, count_table, subset_size_count
-from balpack.errors import InputLengthError, StreamCorruptError
+from balpack.errors import BalpackError, InputLengthError, StreamCorruptError
 from balpack.stream import (
     _CHECK_SLICE,
     HEADER_SIZE,
@@ -627,7 +628,7 @@ def test_lane_decoder_matches_the_kernel_on_every_block(scheme, k):
     planes = [bytes(v >> k - 8 - 8 * i & 0xFF for v, _ in packets) for i in range(k // 8)]
     prefixes = bytes(v >> k for v, _ in packets)
     lengths = bytes(p for _, p in packets)
-    assert subsets.decode_lanes(planes, prefixes, lengths, codec) == data
+    assert subsets.decode_lanes(planes, prefixes, lengths, codec) == (data, 0)
     stream = bytes(frame_bytes(data, k, scheme))
     assert deframe_bytes(stream) == (data, 8 * len(data))
     assert deframed_block_by_block(stream) == data
@@ -679,6 +680,131 @@ def test_lane_decoding_a_valid_stream_never_reaches_the_byte_walk(monkeypatch, s
     assert subsets._BYTE_SPAN is None
 
 
+def frame_loop_verdict(codec: BlockCodec, head: int, body: bytes) -> int | None:
+    """The block the frame loop reads from one frame of head ``head``, or None if it rejects it."""
+    if not codec.k <= head <= codec.k + codec.max_prefix:
+        return None
+    value = int.from_bytes(body[: (head + 7) // 8], "big")
+    if value & (1 << -head % 8) - 1:  # slack bits
+        return None
+    try:
+        return codec.decode(value >> -head % 8, head - codec.k)
+    except (BalpackError, ValueError):
+        return None
+
+
+def assert_lane_verdicts(codec: BlockCodec, frames: list[tuple[int, bytes]]) -> int:
+    """Each frame, a head and ``k / 8 + 1`` body bytes, has the lanes' verdict the frame loop's.
+
+    The frames share walks of ``LANE_BLOCKS``; returns how many are accepted.
+    """
+    accepted = 0
+    for start in range(0, len(frames), LANE_BLOCKS):
+        walk = frames[start : start + LANE_BLOCKS]
+        lanes = bytearray(b"".join(bytes((head,)) + body for head, body in walk))
+        blocks, rejected = stream._lane_decode(lanes, len(walk), codec)
+        verdict = rejected.to_bytes(len(walk), "big")
+        width = codec.k // 8
+        got = [None if bad else int.from_bytes(blocks[i * width : (i + 1) * width], "big")
+               for i, bad in enumerate(verdict)]
+        assert got == [frame_loop_verdict(codec, head, body) for head, body in walk]
+        accepted += verdict.count(0)
+    return accepted
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_verdicts_match_the_frame_loop_on_every_frame_at_k_8(scheme):
+    """Every head from k - 1 to k + max_prefix + 1 and every body, slack bits included.
+
+    A k-bit frame is one body byte and the zero byte the gather puts after it.
+    """
+    codec = BlockCodec(8, scheme)
+    frames = [(head, bytes((b, 0))) for head in (7, 8) for b in range(256)]
+    frames += [(head, body.to_bytes(2, "big")) for head in range(9, 10 + codec.max_prefix)
+               for body in range(1 << 16)]
+    assert assert_lane_verdicts(codec, frames) == 256  # each block has one packet
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_verdicts_match_the_kernel_on_every_payload_and_prefix_at_k_16(scheme):
+    """Every payload with every prefix value of each width the scheme makes, a walk of 1,024 a time.
+
+    For PROPOSED_FULL the prefixes are the sixteen 4B6B codewords, the ones
+    with a nonzero fill among them, and every one of the 64 sextets on a
+    sample of payloads.  An unbalanced payload is rejected before any other
+    check, so the kernel runs on the balanced ones and the lanes must reject
+    the rest.
+    """
+    k, codec = 16, BlockCodec(16, scheme)
+    p_max = codec.max_prefix
+    if codec.full:
+        prefixes = [(p_max, s, range(1 << k)) for s in fourb6b._SEXTETS]
+        sample = random.Random(k).sample(range(1 << k), 2 * LANE_BLOCKS)
+        prefixes += [(p_max, s, sample) for s in range(64)]
+    else:
+        widths = range(1, p_max + 1) if codec.vl else [p_max]
+        prefixes = [(p, r, range(1 << k)) for p in widths for r in range(1 << p)]
+    if codec.prefix_less:
+        prefixes.append((0, 0, range(1 << k)))
+    accepted = 0
+    for p, r, payloads in prefixes:
+        want = {}
+        for y in payloads:
+            if y.bit_count() == k // 2:
+                with contextlib.suppress(BalpackError, ValueError):
+                    want[y] = codec.decode(r << k | y, p)
+        for start in range(0, len(payloads), LANE_BLOCKS):
+            walk = payloads[start : start + LANE_BLOCKS]
+            planes = [bytes(y >> 8 for y in walk), bytes(y & 0xFF for y in walk)]
+            blocks, rejected = subsets.decode_lanes(planes, bytes((r,)) * len(walk),
+                                                    bytes((p,)) * len(walk), codec)
+            verdict = rejected.to_bytes(len(walk), "big")
+            got = {y: int.from_bytes(blocks[2 * i : 2 * i + 2], "big")
+                   for i, y in enumerate(walk) if not verdict[i]}
+            assert got == {y: want[y] for y in walk if y in want}, (p, r, start)
+        accepted += len(want) if payloads == range(1 << k) else 0
+    assert accepted == 1 << k  # each block has one packet
+
+
+@pytest.mark.parametrize("k", LANE_KS)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_verdicts_reject_each_slack_bit_and_heads_out_of_range(scheme, k):
+    """A valid walk's frames pass; with one slack bit set, exactly the frames so changed fail.
+
+    With every head set to k - 1 or to k + max_prefix + 1, every frame fails.
+    """
+    codec = BlockCodec(k, scheme)
+    encoded = bytes(frame_bytes(random.Random(k).randbytes(LANE_BLOCKS * k // 8), k, scheme))
+    frames = []
+    for at in _frame_offsets(encoded):
+        body = encoded[at + 1 : at + 1 + (encoded[at] + 7) // 8]
+        frames.append((encoded[at], body.ljust(k // 8 + 1, b"\0")))
+    assert assert_lane_verdicts(codec, frames) == LANE_BLOCKS
+    for bit in range(8):
+        flipped = [(head, body[:-1] + bytes((body[-1] ^ 1 << bit,)))
+                   if -head % 8 > bit else (head, body) for head, body in frames]
+        changed = sum(-head % 8 > bit for head, _ in frames)
+        assert assert_lane_verdicts(codec, flipped) == LANE_BLOCKS - changed
+    for head in (k - 1, k + codec.max_prefix + 1):
+        assert assert_lane_verdicts(codec, [(head, body) for _, body in frames]) == 0
+
+
+@pytest.mark.parametrize("k", LANE_KS)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_lane_decoding_a_valid_stream_never_encodes(monkeypatch, scheme, k):
+    """The lanes check a walk themselves: decoding never calls the encoder's lanes or layout."""
+    data = random.Random(k).randbytes((2 * LANE_BLOCKS + 5) * k // 8)
+    whole, ragged = frame_bytes(data, k, scheme), frame_bytes(data[:-1], k, scheme, True)
+
+    def encoder(*args):
+        raise AssertionError("the decoder encoded")
+    for module, name in ((subsets, "encode_lanes"), (stream, "encode_lanes"),
+                         (stream, "_lane_frames")):
+        monkeypatch.setattr(module, name, encoder)
+    assert deframe_bytes(whole) == (data, 8 * len(data))
+    assert deframe_bytes(ragged) == (data[:-1], 8 * len(data) - 8)
+
+
 def frame_loop_outcome(data: bytes):
     """``deframe_bytes`` of ``data`` with the lane decoder cut out: its output or its error."""
     with pytest.MonkeyPatch.context() as patch:
@@ -718,6 +844,8 @@ def test_lane_decoder_rejects_mutations_as_the_frame_loop_does(scheme, k, pad_mo
     first = {"first": 0, "middle": LANE_BLOCKS, "last": 2 * LANE_BLOCKS}[walk]
     low, high = offsets[first], offsets[min(first + LANE_BLOCKS, blocks)]
     for _ in range(rng.randint(1, 3)):
+        if low == high:  # a truncation left no byte of the walk
+            break
         i, op = rng.randrange(low, high), rng.randrange(4)
         if op == 0:
             corrupt[i] ^= 1 << rng.randrange(8)

@@ -15,6 +15,11 @@ median over ``--runs`` runs, in µs, of:
   reading the input);
 - ``byte_table``: the first ``subsets._build_byte_span``, inside ``codec``;
   ``n/a`` for a call that never builds it, as a lane-coded one;
+- ``lanes``: the lane walks, inside ``codec``: the time spent in
+  ``stream._lane_frames`` (encode) or ``stream._lane_blocks`` (decode),
+  summed over every walk of the calling process (the children of a split
+  call code their ranges unseen); ``n/a`` for a call that runs no walk, as
+  one at a k the lanes do not code;
 - ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes that
   start before ``main`` returns, as a count and in µs, inside whichever
   piece made them;
@@ -41,6 +46,13 @@ for both, their ratio (this checkout over DIR's) and the runs this checkout
 was faster in.  Both checkouts' sources are byte-compiled first: under
 ``PYTHONDONTWRITEBYTECODE`` a checkout without ``__pycache__`` would compile
 them in every run, and its ``import`` would time the compiler.
+
+Check the pairing before reading a ratio: ``--against`` on an identical copy
+of this checkout (a ``git archive`` of the same commit) should read about
+1.00 for every piece.  It does not always: identical copies have read the
+``parse`` piece 1.02-1.06x slower for the checkout the tool sits in (a
+2-vCPU machine shared with other load), so a piece of a few µs that moves
+by that much is not a change.
 """
 
 from __future__ import annotations
@@ -57,8 +69,8 @@ import tempfile
 from pathlib import Path
 
 SEED = 1024
-PIECES = ("import", "parse", "read", "byte_table", "gc_passes", "gc_us", "codec", "write", "call",
-          "cpu")
+PIECES = ("import", "parse", "read", "byte_table", "lanes", "gc_passes", "gc_us", "codec", "write",
+          "call", "cpu")
 TABLE_PIECES = ("import", "parse", "call", "cpu")
 TABLES = ("table1", "nlambda", "fig2", "fig3")
 TABLE_K_LIST = ",".join(str(4 << i) for i in range(10))  # 4, 8, ..., 2048
@@ -72,17 +84,19 @@ start = time.perf_counter()
 import balpack.cli as cli
 imported = time.perf_counter()
 import gc, json, resource
-from balpack import subsets
+from balpack import stream, subsets
 
-spans = {}  # piece: (first entry, first exit)
+spans = {}  # piece: [(entry, exit) of each call]
 def timed(module, name, piece):
-    inner = getattr(module, name)
+    inner = getattr(module, name, None)
+    if inner is None:  # a checkout without it, as one without lane walks
+        return
     def wrapper(*args, **kwargs):
         begun = time.perf_counter()
         try:
             return inner(*args, **kwargs)
         finally:
-            spans.setdefault(piece, (begun, time.perf_counter()))
+            spans.setdefault(piece, []).append((begun, time.perf_counter()))
     setattr(module, name, wrapper)
 
 command = sys.argv[3]
@@ -92,6 +106,7 @@ if command in ("encode", "decode"):
           else "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
     timed(cli, "_write", "write")
     timed(subsets, "_build_byte_span", "byte_table")
+    timed(stream, "_lane_frames" if command == "encode" else "_lane_blocks", "lanes")
 def cpu_s():
     own, reaped = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
                                                        resource.RUSAGE_CHILDREN))
@@ -110,14 +125,16 @@ sys.stdout = stdout
 gc.callbacks.clear()
 if status != 0:
     raise SystemExit(f"balpack {command} exited {status}")
-length = lambda piece: spans[piece][1] - spans[piece][0] if piece in spans else None
+first = {piece: calls[0] for piece, calls in spans.items()}
+length = lambda piece: first[piece][1] - first[piece][0] if piece in first else None
 # cpu_s()'s own objects can start a pass just after main returns: count those before ``ended``
 collected = [(a, b) for a, b in zip(passes[0::2], passes[1::2]) if a < ended]
 print(json.dumps({
     "import": imported - start,
-    "parse": spans["handler"][0] - begun,
-    "read": spans["codec"][0] - spans["handler"][0] if "codec" in spans else None,
+    "parse": first["handler"][0] - begun,
+    "read": first["codec"][0] - first["handler"][0] if "codec" in first else None,
     "byte_table": length("byte_table"),
+    "lanes": sum(b - a for a, b in spans["lanes"]) if "lanes" in spans else None,
     "gc_passes": len(collected),
     "gc_us": sum(b - a for a, b in collected),
     "codec": length("codec"),
