@@ -9,11 +9,12 @@ creates reference cycles, so reference counting alone keeps memory bounded
 per block, and a collector pass would walk the objects import and the byte
 table left behind and free nothing.  Library callers keep their own setting.
 
-``encode`` and ``decode`` code a stream of at least ``2 * MIN_BLOCKS_PER_WORKER``
-blocks in contiguous block ranges, one per CPU the process may run on, each
-range after the first in a forked child.  The bytes and the errors are the
-ones a single process makes.  No option controls the split; ``taskset``
-restricts it.  The library itself never forks.
+``encode`` and ``decode`` code a stream whose blocks one process would code in
+an estimated ``2 * MIN_WORK_PER_WORKER`` or more in contiguous block ranges,
+one per CPU the process may run on, each range after the first in a forked
+child.  The bytes and the errors are the ones a single process makes.  No
+option controls the split; ``taskset`` restricts it.  The library itself
+never forks.
 """
 
 import gc
@@ -21,8 +22,8 @@ import os
 import sys
 
 from .errors import BalpackError, StreamCorruptError
-from .stream import (StreamHeader, block_ranges, deframe_range, frame_range,
-                     frame_ranges, input_header)
+from .stream import (StreamHeader, block_ranges, deframe_range, frame_range, frame_ranges,
+                     in_lanes, input_header)
 from .subsets import Scheme
 
 SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
@@ -30,17 +31,20 @@ SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
 DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
-#: Blocks each process must have before a stream is split.  A fork, its pipe
-#: and its reaping cost about 1.4 ms, and a 2-way split first wins at about
-#: 4096 blocks per process (README, Performance).  Lane-coded calls still
-#: gain from it: on a 64 KiB file at k = 16, 11 alternating cold calls on two
-#: CPUs against ``taskset -c 0`` (``tools/coldcall.py``) took the encode
-#: ``call`` from 5.44 to 4.87 ms for Knuth and from 11.9 to 10.4 ms for
-#: proposed-fl (10 of 11 each), for 43% and 38% more ``cpu``; 13 took the
-#: lane decode from 10.7 to 7.96 ms (12 of 13) and from 30.3 to 23.4 ms (10
-#: of 13), for 15% and 36% more.  A prefix-less split decode first walks the
-#: frame heads up to the cut, in ``read``.
-MIN_BLOCKS_PER_WORKER = 4096
+#: One process's coding time of a block of k bits, ``base + per_bit * k`` ns, by (lane walk,
+#: ranked scheme): fitted to in-process ``frame_range`` and ``deframe_range`` times at k = 4
+#: to 1024 on 2 vCPUs (README, Performance).  The byte walk costs over a microsecond a block
+#: at any k, 5-15x a lane walk's at k = 8 to 32; a ranked scheme costs 1-4x Knuth.
+BLOCK_NS = {(True, False): (60, 6), (True, True): (100, 13),
+            (False, False): (1500, 4), (False, True): (2000, 16)}
+
+#: Estimated coding time, in ns, each process must have before a stream is split.  A fork,
+#: its late-starting child and its reaping cost 1.5-2.5 ms, and two processes on two vCPUs
+#: each run slower than one alone.  Cold calls on those 2 vCPUs, serial against a forced 2-way
+#: split (``tools/coldcall.py --cpus 1 --against``; README, Performance): up to about 10 ms of
+#: estimated work a lane-walk split lost or broke even in every set; from 12 ms on most sets
+#: gained 1.1-1.6x at k = 4, 16, 64 and 1024, but some read 0.8-1.0.
+MIN_WORK_PER_WORKER = 6_000_000
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -65,10 +69,17 @@ def _write(path: str, *parts: bytes) -> None:
         os.close(fd)
 
 
-def _workers(blocks: int) -> int:
-    """Processes to code ``blocks`` blocks in: one per CPU this process may run on, each with
-    at least ``MIN_BLOCKS_PER_WORKER`` blocks; one without ``fork`` or ``sched_getaffinity``."""
-    most = blocks // MIN_BLOCKS_PER_WORKER
+def _work(header: StreamHeader) -> int:
+    """One process's estimated time, in ns, to code the stream's blocks (``BLOCK_NS``)."""
+    k = header.k
+    base, per_bit = BLOCK_NS[in_lanes(k), header.scheme is not Scheme.KNUTH]
+    return header.blocks * (base + per_bit * k)
+
+
+def _workers(work: int) -> int:
+    """Processes to code ``work`` ns of blocks in: one per CPU this process may run on, each with
+    ``MIN_WORK_PER_WORKER`` or more; one without ``fork`` or ``sched_getaffinity``."""
+    most = work // MIN_WORK_PER_WORKER
     if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return min(most, len(os.sched_getaffinity(0)))
@@ -168,7 +179,7 @@ def _cmd_encode(scheme: str, k: int, pad: bool, infile: str, outfile: str) -> in
     with open(infile, "rb") as src:
         data = src.read()
     header = input_header(data, k, SCHEME_NAMES[scheme], pad)
-    ranges = block_ranges(header, _workers(header.blocks))
+    ranges = block_ranges(header, _workers(_work(header)))
     _write(outfile, *_coded(lambda block_range: frame_range(data, header, *block_range), ranges))
     return 0
 
@@ -179,7 +190,7 @@ def _cmd_decode(infile: str, outfile: str) -> int:
     header = StreamHeader.unpack(data)
     if header.payload_bit_count % 8:
         raise ValueError(f"decoded payload of {header.payload_bit_count} bits is not byte aligned")
-    ranges = frame_ranges(data, header, _workers(header.blocks))
+    ranges = frame_ranges(data, header, _workers(_work(header)))
     _write(outfile, *_coded(lambda block_range: deframe_range(data, header, *block_range), ranges))
     return 0
 

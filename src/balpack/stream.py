@@ -61,6 +61,11 @@ LANE_K_MAX = 32  # the largest k that frame_range and deframe_range code in lane
 LANE_BLOCKS = 1024  # blocks per lane walk
 
 
+def in_lanes(k: int) -> bool:
+    """Whether :func:`frame_range` and :func:`deframe_range` code k-bit blocks in lanes."""
+    return not k % 8 and k <= LANE_K_MAX
+
+
 class StreamHeader(tuple):
     """The fields after the magic: an immutable 4-tuple built by position or by keyword."""
 
@@ -248,7 +253,7 @@ def frame_range(data: bytes, header: StreamHeader, first: int, last: int) -> byt
     """
     k = header.k
     codec = BlockCodec(k, header.scheme)
-    if not k % 8 and k <= LANE_K_MAX:
+    if in_lanes(k):
         return _frame_lanes(data, b"" if first else header.pack(), codec, first, last)
     out = bytearray(b"" if first else header.pack())
     # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
@@ -320,7 +325,7 @@ def _lane_frames(out: bytearray, pos: int, data: bytes, count: int, codec: Block
     size = len(lanes) - lengths.count(0)
     if size < len(lanes):
         keep = bytearray(b"\1") * len(lanes)
-        keep[step - 1 :: step] = lengths.translate(b"\0" + b"\1" * 255)
+        keep[step - 1 :: step] = lengths  # 0 in a prefix-less frame's last byte
         lanes = compress(lanes, keep)
     out[pos : pos + size] = lanes
     return pos + size
@@ -426,7 +431,7 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
               for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
     frames, end = header.blocks, len(data)
-    lanes = not k % 8 and k <= LANE_K_MAX
+    lanes = in_lanes(k)
     one_shape = not (codec.prefix_less or lanes)
     if one_shape:  # every frame max_bits long: a chunk's heads and slack bits are one pattern
         varint, (nbytes, slack, slack_mask, prefix) = encode_varint(max_bits), shapes[max_bits]

@@ -40,8 +40,8 @@ over k / 8 such planes, and k steps of whole-integer arithmetic read bit j
 of every block at once.  The encoder works out every scheme's prefix for
 the whole chunk.  The decoder walks y twice, once for lambda and the
 records and once to count them up to the one the rank names; Knuth's
-inversion length is the rank plus one, and one walk checks that it is x's
-first balancing index.  The decoder passes use the encoder's record
+inversion length is the rank plus one, and k / 8 plane steps check that it
+is x's first balancing index.  The decoder passes use the encoder's record
 arithmetic.  Byte-wide lanes make a step cost one byte of arithmetic per
 block at any k, so a walk grows as k per block, as the byte walk does
 (k / 8 bytes); lanes k bits wide would grow as k^2.  A 64 KiB stream
@@ -74,6 +74,7 @@ live off the codec path.
 """
 
 import enum
+from functools import cached_property
 
 from .errors import CorruptPacketError
 from .fourb6b import balance_rank, unbalance_rank
@@ -254,10 +255,10 @@ def encode_lanes(data: bytes, n: int, codec: "BlockCodec") -> tuple[list[bytes],
     lambda is the distances' sum at the end, and e's rank is c, plus the
     records after e if x's bit e + 1 is 1.
     """
-    k, width, ranked = codec.k, codec.k // 8, not codec.knuth
+    k, width, ranked, tables = codec.k, codec.k // 8, not codec.knuth, codec.lanes
     ones = int.from_bytes(b"\1" * n, "big")
     planes = [data[i::width] for i in range(width)]
-    counts = bytes(map(int.bit_count, range(256)))
+    counts = tables.counts
     run = (0x80 + k // 2) * ones - sum(int.from_bytes(p.translate(counts), "big") for p in planes)
     x = [int.from_bytes(p, "big") for p in planes]
 
@@ -298,17 +299,13 @@ def encode_lanes(data: bytes, n: int, codec: "BlockCodec") -> tuple[list[bytes],
     rank = tally + (lam - reach & up * 0xFF)
     if not codec.prefix_less:  # a balanced x ranks lambda, last
         return payloads(inv), (rank ^ (rank ^ lam) & balanced).to_bytes(n, "big"), fixed
-    table = bytearray(256)  # a balanced block has no prefix: its prefix byte is no rank
-    if codec.vl:
-        table[1 : k // 2 + 1] = map(_vl_prefix, range(1, k // 2 + 1))
-        lengths = (lam & ~balanced).to_bytes(n, "big").translate(table)
-    else:
-        lengths = bal.to_bytes(n, "big").translate(b"%c\0" % codec.max_prefix + bytes(254))
+    if codec.vl:  # a balanced block has no prefix: its lambda is zeroed, whose length is 0
+        lengths = (lam & ~balanced).to_bytes(n, "big").translate(tables.vl_lengths)
+    else:  # max_prefix, 0 for a balanced block
+        lengths = ((bal ^ ones) * codec.max_prefix).to_bytes(n, "big")
     prefixes = rank.to_bytes(n, "big")
     if codec.full:
-        ranks = range(1 << codec.rank_bits)
-        table[: len(ranks)] = (balance_rank(r, codec.rank_bits) for r in ranks)
-        prefixes = prefixes.translate(table)
+        prefixes = prefixes.translate(tables.sextets)
     return payloads([i & ~balanced for i in inv]), prefixes, lengths  # balanced x goes as it is
 
 
@@ -330,7 +327,8 @@ def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
     Knuth inverts rank + 1 bits, e, which must be x's first balancing index:
     y's sum at e lies above its sums at 1..e - 1 if y's bit e is a 1, else
     below them.  With y's first e - 1 bits kept, inverted in the second case,
-    and the rest zero, that is a walk whose highest sum is its one at e - 1.
+    and the rest zero, that is a walk whose highest sum is its one at e - 1,
+    read a plane at a time off each byte's highest running sum.
     A prefix-less block is y.  Otherwise the first pass walks y as the
     encoder does, for lambda and Z, the records that a 0 follows; rank r < Z
     names the r-th of those, else the (lambda - 1 - r)-th record that a 1
@@ -338,20 +336,12 @@ def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
     that index: e is the number of steps that start with the count at 0x80
     or more, as a record at bit j is known chosen only at bit j + 1.
     """
-    k, n, width = codec.k, len(prefixes), codec.k // 8
+    k, n, width, tables = codec.k, len(prefixes), codec.k // 8, codec.lanes
     ones = int.from_bytes(b"\1" * n, "big")
     y = [int.from_bytes(plane, "big") for plane in planes]
-    counts = bytes(map(int.bit_count, range(256)))
-    made = bytearray(b"\1") * 256  # 0 at each prefix length the scheme makes
-    made[codec.max_prefix] = 0
-    if codec.prefix_less:
-        made[0] = 0
-    if codec.vl:
-        made[: codec.max_prefix] = bytes(codec.max_prefix)
+    counts, firsts = tables.counts, tables.firsts
     weight = sum(int.from_bytes(plane.translate(counts), "big") for plane in planes)
-    rejected = weight ^ codec.half * ones | int.from_bytes(lengths.translate(made), "big")
-    ramp = bytes(0xFF00 >> i & 0xFF for i in range(8))  # per plane, by e: its byte of e leading 1s
-    firsts = [(bytes(8 * i) + ramp + b"\xff" * 256)[:256] for i in range(width)]
+    rejected = weight ^ codec.half * ones | int.from_bytes(lengths.translate(tables.made), "big")
     if codec.knuth:
         e = prefixes.translate(bytes(range(1, 256)) + b"\0")
         inverted = [int.from_bytes(e.translate(first), "big") for first in firsts]
@@ -361,20 +351,21 @@ def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
         for i, p in enumerate(y):
             walk[i] &= p ^ down
         del bit_e, down
-        below = 0x7F * ones  # the distance below the walk's highest sum from bit 1 on, plus 0x7F
-        for j in range(1, k):
-            wj = walk[j >> 3] >> (7 - j & 7) & ones
-            below += (wj ^ ones) - (wj & below >> 7)
-        # the distance at e - 1 is 0 exactly when it ends at 0x7F + k - rank (0x7E + k for e = 1,
-        # as bit 1 is then zero fill); a rank of k or more maps to 0, where no walk ends
-        end = bytes((0x7E + k,)) + bytes(range(0x7E + k, 0x7F, -1)) + bytes(256 - k)
-        rejected |= below ^ int.from_bytes(prefixes.translate(end), "big")
+        # the walk's highest sum from bit 1 on and its last sum, plus 0x40 (and 1 for the highest):
+        # each plane's highest is the sum before it plus its byte's highest, as its net is its 1s
+        top = last = 0x40 * ones
+        for w in walk:
+            plane = w.to_bytes(n, "big")
+            high = last + int.from_bytes(plane.translate(tables.highs), "big")
+            top ^= (top ^ high) & ((high | 0x80 * ones) - top >> 7 & ones) * 0xFF  # the higher
+            last += 2 * int.from_bytes(plane.translate(counts), "big") - 8 * ones
+        # a first index leaves that k - rank + 1 (k for e = 1, as bit 1 is then zero fill); a
+        # rank of k or more maps to 0, which no walk makes
+        end = bytes((k,)) + bytes(range(k, 1, -1)) + bytes(256 - k)
+        rejected |= top - last ^ int.from_bytes(prefixes.translate(end), "big")
     else:
         if codec.full:  # each sextet back to its rank; a non-codeword or nonzero fill past them all
-            table = bytearray(b"\x3f") * 256
-            for r in range(1 << codec.rank_bits):
-                table[balance_rank(r, codec.rank_bits)] = r
-            prefixes = prefixes.translate(table)
+            prefixes = prefixes.translate(tables.ranks)
         rank = int.from_bytes(prefixes, "big")  # below 0x40: no lane borrows
         records = [0] * width  # planes: is y's bit j a record, in bit j + 1's place
         below = above = 0x7F * ones
@@ -394,9 +385,7 @@ def decode_lanes(planes: list[bytes], prefixes: bytes, lengths: bytes,
         inside = count if codec.prefix_less else count + ones  # bit 7: a member's rank
         rejected |= ~inside & 0x80 * ones & ~plain
         if codec.vl:
-            table = bytearray(256)
-            table[1 : k // 2 + 1] = map(_vl_prefix, range(1, k // 2 + 1))
-            rejected |= (int.from_bytes(lam.to_bytes(n, "big").translate(table), "big")
+            rejected |= (int.from_bytes(lam.to_bytes(n, "big").translate(tables.vl_lengths), "big")
                          ^ int.from_bytes(lengths, "big")) & ~plain
         z = sum(int.from_bytes((r & ~p).to_bytes(n, "big").translate(counts), "big")
                 for r, p in zip(records, y))
@@ -453,6 +442,70 @@ def _vl_prefix(lam: int) -> int:
     return (lam - 1).bit_length() or 1  # ceil_log2(lam), with prefix_length's 1-bit floor
 
 
+class LaneTables:
+    """The costlier ``bytes.translate`` tables of one codec's lane walks: :attr:`BlockCodec.lanes`.
+
+    Method ``_name`` makes table ``name`` on its first use, and
+    ``__getattr__`` keeps it as an attribute.  The tables live as long as the
+    codec, which a stream call makes for itself: a call builds each table its
+    walks use once, and no module keeps one.  Each maps a lane's byte to
+    another.
+    """
+
+    def __init__(self, codec: "BlockCodec") -> None:
+        # the codec's numbers, not the codec: the two would be a reference cycle
+        self.k, self.p_max, self.rank_bits = codec.k, codec.max_prefix, codec.rank_bits
+        self.prefix_less, self.vl = codec.prefix_less, codec.vl
+
+    def __getattr__(self, name: str) -> bytes | list[bytes]:  # only a table not made yet gets here
+        if name.startswith("_"):
+            raise AttributeError(name)
+        table = getattr(self, "_" + name)()
+        setattr(self, name, table)
+        return table
+
+    def _counts(self) -> bytes:  # a byte's 1 bits
+        return bytes(map(int.bit_count, range(256)))
+
+    def _firsts(self) -> list[bytes]:  # per plane, by e: its byte of e leading 1s
+        ramp = bytes(0xFF00 >> i & 0xFF for i in range(8))
+        return [(bytes(8 * i) + ramp + b"\xff" * 256)[:256] for i in range(self.k // 8)]
+
+    def _made(self) -> bytes:  # 0 for each prefix length the scheme makes, else 1
+        made = bytearray(b"\1") * 256
+        made[self.p_max] = 0
+        if self.prefix_less:
+            made[0] = 0
+        if self.vl:
+            made[: self.p_max] = bytes(self.p_max)
+        return bytes(made)
+
+    def _vl_lengths(self) -> bytes:  # lambda to PROPOSED_VL's prefix length
+        return bytes((0, *map(_vl_prefix, range(1, self.k // 2 + 1)))).ljust(256, b"\0")
+
+    def _sextets(self) -> bytes:  # a rank to its 4B6B sextet
+        return bytes(balance_rank(r, self.rank_bits)
+                     for r in range(1 << self.rank_bits)).ljust(256, b"\0")
+
+    def _ranks(self) -> bytes:  # a sextet to its rank; a non-codeword past every subset
+        ranks = bytearray(b"\x3f") * 256
+        for r, sextet in enumerate(self.sextets[: 1 << self.rank_bits]):
+            ranks[sextet] = r
+        return bytes(ranks)
+
+    def _highs(self) -> bytes:
+        """Per byte: 1 + the highest of its running sums from bit 1 on, h.
+
+        A bit before the last m bits takes their h to max(0, h - 1) if it is
+        a 0, and to max(1, h) + 1 if it is a 1.
+        """
+        highs = b"\0\2"  # by the value of the last bit
+        dec, inc = bytes(1) + bytes(range(255)), b"\2" + bytes(range(2, 256)) + b"\0"
+        for _ in range(7):
+            highs = highs.translate(dec) + highs.translate(inc)
+        return highs
+
+
 class BlockCodec:
     """The unchecked per-block kernel of one scheme at one block length.
 
@@ -477,6 +530,11 @@ class BlockCodec:
         if self.prefix_less and not self.max_prefix:
             raise ValueError(f"{scheme.name} needs k >= 4 (a zero-bit rank prefix at k={k} "
                              "would collide with the prefix-less balanced case)")
+
+    @cached_property
+    def lanes(self) -> LaneTables:
+        """The lane walks' tables, made on first use."""
+        return LaneTables(self)
 
     def encode(self, xi: int) -> tuple[int, int]:
         """Packet value and prefix bit count of the block of value ``xi``."""

@@ -472,17 +472,20 @@ def test_cli_codec_memory_is_proportional_to_the_file(tmp_path, monkeypatch, k):
     """Encode and decode of a 64 KiB file hold no bit string: each peaks below 512 KiB.
 
     Each command runs once untraced first, so one-time set-up (the byte-walk
-    table) is not counted against the file.  It runs on one CPU and on two:
-    at k = 16 the file's 32,768 blocks split in two, and this process then
-    holds one copy of each part, never a joined one, so it peaks within
-    16 KiB of the serial call.
+    table) is not counted against the file.  It runs on one CPU and on two,
+    with the threshold lowered to half the file's work per process: on two
+    the file splits in two, and this process then holds one copy of each
+    part, never a joined one, so it peaks within 16 KiB of the serial call.
     """
     src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
     payload = random.Random(k).randbytes(64 << 10)
     src.write_bytes(payload)
+    work = cli._work(input_header(payload, k, Scheme.KNUTH, False))
+    monkeypatch.setattr(cli, "MIN_WORK_PER_WORKER", work // 2)
     peaks = {}
     for count in (1, 2):
         cpus(monkeypatch, count)
+        assert cli._workers(work) == count
         for argv in (["encode", "--scheme", "knuth", "--k", str(k), str(src), str(enc)],
                      ["decode", str(enc), str(out)]):
             assert main(argv) == 0
@@ -1333,10 +1336,10 @@ def ragged_input(k: int, blocks: int, seed: int) -> bytes:
 def test_cli_split_streams_and_outputs_match_one_process(tmp_path, monkeypatch, name, k, pad):
     """Streams and decoded files are the same bytes on one CPU and split over two or three.
 
-    The threshold is lowered to 16 blocks per process so that every k splits
-    in milliseconds; the real one is exercised by the memory test above.
+    The threshold is lowered to 1 ns per process so that every k splits in
+    milliseconds; the real one is exercised by the threshold test below.
     """
-    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 16)
+    monkeypatch.setattr(cli, "MIN_WORK_PER_WORKER", 1)
     blocks = 3 * 16 * 33  # 33 int conversions at k = 16
     data = ragged_input(k, blocks, k) if pad else random.Random(k).randbytes(blocks * k // 8)
     src = tmp_path / "input.bin"
@@ -1356,24 +1359,61 @@ def test_cli_split_streams_and_outputs_match_one_process(tmp_path, monkeypatch, 
     assert results[1] == results[0] and results[2] == results[0]
 
 
+@pytest.mark.parametrize("k", [4, 16, 1024])  # the byte walk at 4 and 1024, lanes at 16
 @pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
-def test_cli_split_at_the_real_threshold(tmp_path, monkeypatch, name):
-    """At k = 16 a ragged input of 8,193 blocks splits in two at 4,096 blocks per process."""
-    assert cli.MIN_BLOCKS_PER_WORKER == 4096
-    assert cli._workers(8191) == 1
-    cpus(monkeypatch, 2)
-    assert cli._workers(8192) == 2
-    src = tmp_path / "input.bin"
-    src.write_bytes(ragged_input(16, 8193, 16))
+def test_cli_split_at_the_real_threshold(tmp_path, monkeypatch, name, k):
+    """On two CPUs a file splits in two from ``2 * MIN_WORK_PER_WORKER`` of work on, at any k.
+
+    A block's bytes less codes in one process; the threshold file codes to
+    the same bytes on one CPU and on two, and on two it forks once each way.
+    """
+    assert cli.MIN_WORK_PER_WORKER == 6_000_000
+    scheme = SCHEME_NAMES[name]
+    per_block = cli._work(StreamHeader(k, scheme, True, k))
+    blocks = -(-2 * cli.MIN_WORK_PER_WORKER // per_block)  # the fewest that split
+    assert (blocks - 1) * per_block < 2 * cli.MIN_WORK_PER_WORKER <= blocks * per_block
+    forks = []
+    fork = cli._fork
+    monkeypatch.setattr(cli, "_fork", lambda *args: forks.append(args[1]) or fork(*args))
     results = []
-    for count in (1, 2):
+    at = -(-blocks * k // 8)  # the fewest bytes of that many blocks; a block's bytes fewer has less
+    for size, count in ((at - (k + 7) // 8, 2), (at, 1), (at, 2)):
         cpus(monkeypatch, count)
-        enc, out = tmp_path / f"stream{count}.bpk", tmp_path / f"output{count}.bin"
-        assert main(["encode", "--scheme", name, "--k", "16", "--pad", str(src), str(enc)]) == 0
+        data = random.Random(size).randbytes(size)
+        header = input_header(data, k, scheme, True)
+        assert (header.blocks >= blocks) == (size == at)
+        assert cli._workers(cli._work(header)) == (2 if size == at and count == 2 else 1)
+        src, enc, out = (tmp_path / f"{part}{size}-{count}" for part in ("in", "bpk", "out"))
+        src.write_bytes(data)
+        forks.clear()
+        assert main(["encode", "--scheme", name, "--k", str(k), "--pad", str(src), str(enc)]) == 0
         assert main(["decode", str(enc), str(out)]) == 0
         assert_no_child_left()
-        results.append((enc.read_bytes(), out.read_bytes()))
-    assert results[0] == results[1] and results[0][1] == src.read_bytes()
+        assert len(forks) == 2 * (cli._workers(cli._work(header)) - 1)
+        assert out.read_bytes() == data
+        results.append(enc.read_bytes())
+    assert results[1] == results[2]
+
+
+def test_cli_split_floor_counts_each_walk_per_block(monkeypatch):
+    """The floor weighs a block by its walk and scheme, not by its bytes (README, Performance).
+
+    The byte walk costs over a microsecond a block at any k, so a k = 4 file
+    splits from a few KiB; a lane walk costs a tenth of that, and every file
+    the benchmark codes stays in one process.
+    """
+    cpus(monkeypatch, 2)
+
+    def workers(size: int, k: int, name: str) -> int:
+        return cli._workers(cli._work(StreamHeader(k, SCHEME_NAMES[name], True, 8 * size)))
+
+    assert workers(4 << 10, 4, "knuth") == workers(4 << 10, 4, "proposed-fl") == 2
+    assert workers(96 << 10, 64, "knuth") == 2
+    assert workers(128 << 10, 16, "knuth") == 1 and workers(128 << 10, 16, "proposed-fl") == 2
+    assert workers(128 << 10, 1024, "knuth") == 1 and workers(128 << 10, 1024, "proposed-fl") == 2
+    for name in SCHEME_NAMES:  # the benchmark's files
+        assert workers(64 << 10 if name == "knuth" else 8 << 10, 16, name) == 1
+        assert workers(64 << 10 if name == "knuth" else 4 << 10, 1024, name) == 1
 
 
 def flipped(stream: bytes, *places: tuple[int, int]) -> bytes:
@@ -1403,7 +1443,7 @@ def mutations(stream: bytes, rng: random.Random):
 @pytest.mark.parametrize("name,k", [(name, k) for name in sorted(SCHEME_NAMES) for k in (4, 16)])
 def test_cli_split_errors_match_one_process(tmp_path, monkeypatch, name, k):
     """Mutated streams past the threshold give the same error class, message and packet index."""
-    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 64)
+    monkeypatch.setattr(cli, "MIN_WORK_PER_WORKER", 1)
     data = ragged_input(k, 64 * 3 * 8, k)
     stream = bytes(frame_bytes(data, k, SCHEME_NAMES[name], pad_mode=True))
     rng = random.Random(f"{name}/{k}")
@@ -1420,7 +1460,7 @@ def test_cli_split_errors_match_one_process(tmp_path, monkeypatch, name, k):
 
 def test_cli_split_survives_a_failed_fork_and_a_child_without_a_result(tmp_path, monkeypatch):
     """A range whose child never started or never answered is coded by the parent itself."""
-    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 64)
+    monkeypatch.setattr(cli, "MIN_WORK_PER_WORKER", 1)
     cpus(monkeypatch, 3)
     data = ragged_input(16, 64 * 3 * 4, 5)
     src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
@@ -1463,7 +1503,7 @@ def test_cli_split_leaves_no_child_on_any_exit(tmp_path, monkeypatch, capsys):
     A child's error comes back as its record: this process decodes only its
     own range, never the child's again.
     """
-    monkeypatch.setattr(cli, "MIN_BLOCKS_PER_WORKER", 64)
+    monkeypatch.setattr(cli, "MIN_WORK_PER_WORKER", 1)
     cpus(monkeypatch, 2)
     src, enc, bad, out = (tmp_path / n for n in ("input.bin", "stream.bpk", "bad.bpk", "out"))
     src.write_bytes(random.Random(9).randbytes(4096))  # 2,048 blocks at k = 16

@@ -1,6 +1,7 @@
 """Where the time of a cold ``balpack`` call goes, piece by piece.
 
-Usage: python tools/coldcall.py [--scheme NAME] [--k K] [--bytes N] [--runs N] [--against DIR]
+Usage: python tools/coldcall.py [--scheme NAME] [--k K] [--bytes N] [--runs N] [--cpus N]
+                                [--against DIR]
        python tools/coldcall.py --what TABLE [--runs N] [--against DIR]
 
 Each run encodes a seeded random file of ``--bytes`` bytes through
@@ -47,6 +48,15 @@ was faster in.  Both checkouts' sources are byte-compiled first: under
 ``PYTHONDONTWRITEBYTECODE`` a checkout without ``__pycache__`` would compile
 them in every run, and its ``import`` would time the compiler.
 
+``--cpus N`` keeps this checkout's encode and decode calls to the first N CPUs
+they may run on (``os.sched_setaffinity`` in the fresh interpreter, before
+``main``), as ``taskset`` would; DIR's calls keep every CPU.  ``--cpus 1``
+thus codes in one process what the CLI would split over CPUs, and against a
+copy whose ``cli.MIN_WORK_PER_WORKER`` is 1 it times the serial call against
+a forced 2-way split on two CPUs, the break-even table of README, Performance:
+
+    python tools/coldcall.py --cpus 1 --against DIR --scheme knuth --k 16 --bytes 262144
+
 Check the pairing before reading a ratio: ``--against`` on an identical copy
 of this checkout (a ``git archive`` of the same commit) should read about
 1.00 for every piece.  It does not always: identical copies have read the
@@ -75,15 +85,16 @@ TABLE_PIECES = ("import", "parse", "call", "cpu")
 TABLES = ("table1", "nlambda", "fig2", "fig3")
 TABLE_K_LIST = ",".join(str(4 << i) for i in range(10))  # 4, 8, ..., 2048
 
-#: One cold call: ``python -c CHILD SRC_DIR STDOUT_FILE CLI_ARGS...``; prints one JSON
-#: object of pieces, with the call's standard output sent to STDOUT_FILE.
+#: One cold call: ``python -c CHILD SRC_DIR STDOUT_FILE CPUS CLI_ARGS...``; prints one JSON
+#: object of pieces, with the call's standard output sent to STDOUT_FILE.  CPUS > 0 keeps
+#: the call to the first CPUS CPUs it may run on.
 CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import balpack.cli as cli
 imported = time.perf_counter()
-import gc, json, resource
+import gc, json, os, resource
 from balpack import stream, subsets
 
 spans = {}  # piece: [(entry, exit) of each call]
@@ -99,7 +110,7 @@ def timed(module, name, piece):
             spans.setdefault(piece, []).append((begun, time.perf_counter()))
     setattr(module, name, wrapper)
 
-command = sys.argv[3]
+command = sys.argv[4]
 timed(cli, f"_cmd_{command}", "handler")
 if command in ("encode", "decode"):
     timed(cli, "_coded" if hasattr(cli, "_coded")
@@ -114,10 +125,12 @@ def cpu_s():
 
 passes = []
 gc.callbacks.append(lambda phase, info: passes.append(time.perf_counter()))
+if int(sys.argv[3]):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[3])])
 stdout, sys.stdout = sys.stdout, open(sys.argv[2], "w")
 cpu_begun = cpu_s()
 begun = time.perf_counter()
-status = cli.main(sys.argv[3:])
+status = cli.main(sys.argv[4:])
 ended = time.perf_counter()
 cpu = cpu_s() - cpu_begun
 sys.stdout.close()
@@ -145,10 +158,11 @@ print(json.dumps({
 """
 
 
-def cold_call(root: Path, argv: list[str], stdout: str = os.devnull) -> dict[str, float | None]:
+def cold_call(root: Path, argv: list[str], stdout: str = os.devnull,
+              cpus: int = 0) -> dict[str, float | None]:
     """The pieces of one ``balpack`` call in a fresh interpreter importing root/src/balpack."""
-    result = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), stdout, *argv],
-                            capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), stdout, str(cpus),
+                             *argv], capture_output=True, text=True)
     if result.returncode != 0:
         raise SystemExit(f"{root}: balpack {' '.join(argv)}: {result.stderr.strip()}")
     pieces = json.loads(result.stdout.splitlines()[-1])
@@ -156,12 +170,12 @@ def cold_call(root: Path, argv: list[str], stdout: str = os.devnull) -> dict[str
             for piece, value in pieces.items()}
 
 
-def round_trip(root: Path, work: Path, scheme: str, k: int, data: Path):
-    """Encode and decode pieces of one run of the checkout at root."""
+def round_trip(root: Path, work: Path, scheme: str, k: int, data: Path, cpus: int = 0):
+    """Encode and decode pieces of one run of the checkout at root, on ``cpus`` CPUs if > 0."""
     stream, out = work / "stream.bpk", work / "out.bin"
     encode = cold_call(root, ["encode", "--scheme", scheme, "--k", str(k), "--pad",
-                              str(data), str(stream)])
-    decode = cold_call(root, ["decode", str(stream), str(out)])
+                              str(data), str(stream)], cpus=cpus)
+    decode = cold_call(root, ["decode", str(stream), str(out)], cpus=cpus)
     if out.read_bytes() != data.read_bytes():
         raise SystemExit(f"{root}: the round trip changed the input")
     return encode, decode
@@ -195,7 +209,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="a second checkout to time in the same rounds")
     parser.add_argument("--what", choices=TABLES,
                         help="time a cold tables call of this table instead of a round trip")
+    parser.add_argument("--cpus", type=int, default=0, metavar="N",
+                        help="run this checkout's encode and decode calls on the first N CPUs "
+                             "they may use (default: all; --against DIR's calls always use all)")
     args = parser.parse_args(argv)
+    if args.cpus < 0:
+        parser.error("--cpus must be 0 (all) or more")
     roots = [Path(__file__).resolve().parent.parent]
     if args.what:
         digests = json.loads((roots[0] / "perfbench" / "digests.json").read_text())
@@ -215,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         for run in range(args.runs):
             for side in range(len(roots))[:: 1 if run % 2 == 0 else -1]:
                 calls = (table_call(roots[side], work, args.what, digest) if args.what else
-                         round_trip(roots[side], work, args.scheme, args.k, data))
+                         round_trip(roots[side], work, args.scheme, args.k, data,
+                                    args.cpus if side == 0 else 0))
                 for step, pieces in enumerate(calls):
                     runs[side][step].append(pieces)
     if args.what:
@@ -224,7 +244,8 @@ def main(argv: list[str] | None = None) -> int:
         sides, shown = ["tables"], TABLE_PIECES
     else:
         print(f"{args.scheme} k = {args.k}, {args.bytes} bytes, medians of {args.runs} "
-              f"fresh processes per call, µs")
+              f"fresh processes per call, µs" + (f", this checkout on {args.cpus} CPUs"
+                                                   if args.cpus else ""))
         sides, shown = ["encode", "decode"], PIECES
     print("piece", *(side if len(roots) == 1 else f"{side} against ratio wins" for side in sides))
     for piece in shown:
