@@ -9,21 +9,15 @@ creates reference cycles, so reference counting alone keeps memory bounded
 per block, and a collector pass would walk the objects import and the byte
 table left behind and free nothing.  Library callers keep their own setting.
 
-``encode`` and ``decode`` code a stream whose blocks one process would code in
-an estimated ``2 * MIN_WORK_PER_WORKER`` or more in contiguous block ranges,
-one per CPU the process may run on, each range after the first in a forked
-child.  The bytes and the errors are the ones a single process makes.  No
-option controls the split; ``taskset`` restricts it.  The library itself
-never forks.
+``encode`` and ``decode`` code the whole file in this one process.
 """
 
 import gc
 import os
 import sys
 
-from .errors import BalpackError, StreamCorruptError
-from .stream import (StreamHeader, block_ranges, deframe_range, frame_range, frame_ranges,
-                     in_lanes, input_header)
+from .errors import BalpackError
+from .stream import StreamHeader, deframe_bytes, frame_bytes
 from .subsets import Scheme
 
 SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
@@ -31,156 +25,26 @@ SCHEME_NAMES = {s.name.lower().replace("_", "-"): s for s in Scheme}
 DEFAULT_K_LIST = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
-#: One process's coding time of a block of k bits, ``base + per_bit * k`` ns, by (lane walk,
-#: ranked scheme): fitted to in-process ``frame_range`` and ``deframe_range`` times at k = 4
-#: to 1024 on 2 vCPUs (README, Performance).  The byte walk costs over a microsecond a block
-#: at any k, 5-15x a lane walk's at k = 8 to 32; a ranked scheme costs 1-4x Knuth.
-BLOCK_NS = {(True, False): (60, 6), (True, True): (100, 13),
-            (False, False): (1500, 4), (False, True): (2000, 16)}
-
-#: Estimated coding time, in ns, each process must have before a stream is split.  A fork,
-#: its late-starting child and its reaping cost 1.5-2.5 ms, and two processes on two vCPUs
-#: each run slower than one alone.  Cold calls on those 2 vCPUs, serial against a forced 2-way
-#: split (``tools/coldcall.py --cpus 1 --against``; README, Performance): up to about 10 ms of
-#: estimated work a lane-walk split lost or broke even in every set; from 12 ms on most sets
-#: gained 1.1-1.6x at k = 4, 16, 64 and 1024, but some read 0.8-1.0.
-MIN_WORK_PER_WORKER = 6_000_000
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _write(path: str, *parts: bytes) -> None:
-    """Overwrite ``path`` in place with ``parts`` in order.
+def _write(path: str, data: bytes) -> None:
+    """Overwrite ``path`` in place with ``data``.
 
     In place, because ext4 flushes a file truncated to zero on close.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        for part in parts:
-            _write_all(fd, part)
-        size = sum(map(len, parts))
-        if os.fstat(fd).st_size > size:  # an older, longer file
-            os.ftruncate(fd, size)
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):  # an older, longer file
+            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
-
-
-def _work(header: StreamHeader) -> int:
-    """One process's estimated time, in ns, to code the stream's blocks (``BLOCK_NS``)."""
-    k = header.k
-    base, per_bit = BLOCK_NS[in_lanes(k), header.scheme is not Scheme.KNUTH]
-    return header.blocks * (base + per_bit * k)
-
-
-def _workers(work: int) -> int:
-    """Processes to code ``work`` ns of blocks in: one per CPU this process may run on, each with
-    ``MIN_WORK_PER_WORKER`` or more; one without ``fork`` or ``sched_getaffinity``."""
-    most = work // MIN_WORK_PER_WORKER
-    if most < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(most, len(os.sched_getaffinity(0)))
-
-
-def _read_exactly(fd: int, size: int) -> bytearray | None:
-    """The next ``size`` bytes from ``fd``, or None if it ends first."""
-    buf = bytearray(size)
-    view, got = memoryview(buf), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if not n:
-            return None
-        got += n
-    return buf
-
-
-def _fork(code, block_range: tuple) -> tuple[int, int] | None:
-    """Fork a child that sends the part of ``block_range``: its pid and pipe read end, or None.
-
-    The child writes one record: a tag (P for a part, E for an error), a
-    big-endian 8-byte length and the body; an error's body is its packet
-    index in 8 bytes and its message.  Any other exception ends the child
-    without a record.  The child leaves by ``os._exit``: it flushes no stdio
-    and runs no ``finally`` of its parent's stack.
-    """
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    status = 1
-    try:
-        try:
-            tag, body = b"P", code(block_range)
-        except StreamCorruptError as exc:
-            tag, body = b"E", exc.packet_index.to_bytes(8, "big") + str(exc).encode()
-        _write_all(write_end, tag + len(body).to_bytes(8, "big"))
-        _write_all(write_end, body)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(fd: int) -> bytearray | None:
-    """A child's part from its pipe, None if it sent no whole record; raises the error it sent."""
-    head = _read_exactly(fd, 9)
-    if head is None:
-        return None
-    body = _read_exactly(fd, int.from_bytes(head[1:], "big"))
-    if body is not None and head[0] == ord("E"):
-        raise StreamCorruptError(body[8:].decode(), packet_index=int.from_bytes(body[:8], "big"))
-    return body
-
-
-def _coded(code, ranges: list) -> list:
-    """``code(r)`` for each block range ``r``, in order, each range after the first in a child.
-
-    This process codes the first range while forked children code the others
-    and send them through pipes.  Where a fork fails or a child ends without
-    a result, this process codes that range itself.  The error of the
-    earliest failing range is raised, and every child is reaped on the way
-    out, killed first if its pipe was not read.
-    """
-    children = []  # per range after the first: (pid, pipe read end), or None
-    read = 0  # children whose pipe was read to a whole record or to its end
-    try:
-        for block_range in ranges[1:]:
-            children.append(_fork(code, block_range))
-        parts = [code(ranges[0])]
-        for block_range, child in zip(ranges[1:], children):
-            part = _receive(child[1]) if child else None
-            read += 1
-            parts.append(code(block_range) if part is None else part)
-        return parts
-    finally:
-        for i, child in enumerate(children):
-            if child:
-                pid, read_end = child
-                os.close(read_end)
-                if i >= read:  # an early exit: the child may still be coding or writing
-                    from signal import SIGKILL
-
-                    os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
 
 
 def _cmd_encode(scheme: str, k: int, pad: bool, infile: str, outfile: str) -> int:
     with open(infile, "rb") as src:
         data = src.read()
-    header = input_header(data, k, SCHEME_NAMES[scheme], pad)
-    ranges = block_ranges(header, _workers(_work(header)))
-    _write(outfile, *_coded(lambda block_range: frame_range(data, header, *block_range), ranges))
+    _write(outfile, frame_bytes(data, k, SCHEME_NAMES[scheme], pad))
     return 0
 
 
@@ -190,8 +54,7 @@ def _cmd_decode(infile: str, outfile: str) -> int:
     header = StreamHeader.unpack(data)
     if header.payload_bit_count % 8:
         raise ValueError(f"decoded payload of {header.payload_bit_count} bits is not byte aligned")
-    ranges = frame_ranges(data, header, _workers(_work(header)))
-    _write(outfile, *_coded(lambda block_range: deframe_range(data, header, *block_range), ranges))
+    _write(outfile, deframe_bytes(data)[0])
     return 0
 
 

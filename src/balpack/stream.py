@@ -12,19 +12,14 @@ travels as an integer from input bytes to output bytes, through the int
 kernel :class:`balpack.subsets.BlockCodec` or, at some k, the lanes below,
 and no bit string is built.
 :func:`frame_stream` / :func:`deframe_stream` are its checking string adapters.
-
-Every block is coded on its own and every frame carries its own length, so
-a stream also codes as contiguous block ranges that need nothing from each
-other: :func:`frame_range` / :func:`deframe_range` code one, and
-:func:`frame_bytes` / :func:`deframe_bytes` are the one-range case.  This
-module never starts a process; the CLI decides where each range runs.
+Each call codes the whole stream in the calling process.
 
 For k a multiple of 8 up to ``LANE_K_MAX`` = 32, both directions code
-``LANE_BLOCKS`` = 1,024 blocks at a time in lanes.  :func:`frame_range`
+``LANE_BLOCKS`` = 1,024 blocks at a time in lanes.  :func:`frame_bytes`
 codes them with :func:`balpack.subsets.encode_lanes` and lays their frames
 out by extended-slice byte copies, one frame in k / 8 + 2 bytes.  The
 output is allocated once for the longest frames and cut to size.
-:func:`deframe_range` gathers a walk's frames into that layout, which for
+:func:`deframe_bytes` gathers a walk's frames into that layout, which for
 the prefix-less schemes takes one walk over the heads, and decodes them
 with :func:`balpack.subsets.decode_lanes`.  The lanes make the frame
 loop's checks themselves: every head is k plus a prefix length the scheme
@@ -38,13 +33,12 @@ They stop at k = 32, past which the 4B6B prefix needs two sextets, more
 than the one prefix byte of the layout.  Other k go block by block.
 
 At other k, Knuth and BASELINE_FL frames all have one size, ``k`` plus the
-scheme's prefix bits behind the same varint.  :func:`deframe_range` reads a
+scheme's prefix bits behind the same varint.  :func:`deframe_bytes` reads a
 chunk of them with one ``int.from_bytes``, checks every head and slack bit
 in it with one masked compare, and shifts the packets out.  A chunk that
 fails, or whose kernel raises, is read again frame by frame, as a short
 last chunk is.  Only the frame loop reports errors, so a stream fails with
-the same message and packet index on every path.  :func:`frame_ranges`
-finds the cuts of one-size frames by multiplication.
+the same message and packet index on every path.
 """
 
 from itertools import compress
@@ -57,12 +51,12 @@ MAGIC = b"BPK1"
 HEADER_SIZE = 16  # magic (4 bytes), k (2), scheme (1), pad flag (1), payload bits (8), big-endian
 MAX_K = 0xFFFE  # the largest even k the 16-bit header field holds
 _CHECK_SLICE = 1 << 16  # input characters checked per copy
-LANE_K_MAX = 32  # the largest k that frame_range and deframe_range code in lanes
+LANE_K_MAX = 32  # the largest k that frame_bytes and deframe_bytes code in lanes
 LANE_BLOCKS = 1024  # blocks per lane walk
 
 
 def in_lanes(k: int) -> bool:
-    """Whether :func:`frame_range` and :func:`deframe_range` code k-bit blocks in lanes."""
+    """Whether :func:`frame_bytes` and :func:`deframe_bytes` code k-bit blocks in lanes."""
     return not k % 8 and k <= LANE_K_MAX
 
 
@@ -169,124 +163,33 @@ def input_header(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
     return StreamHeader(k, scheme, pad_mode, bit_count)
 
 
-def block_ranges(header: StreamHeader, count: int) -> list[tuple[int, int]]:
-    """``count`` contiguous ranges ``(first, last)`` of the stream's blocks, of about equal size.
+def _skip_frames(data: bytes, offset: int, count: int, body: dict[int, int], cuts: list[int],
+                 short: int) -> int:
+    """The offset ``count`` frames after ``offset``, each a one-byte head n and ``body[n]`` bytes.
 
-    Every cut falls between two int conversions (see :func:`_chunk`), so each
-    range codes to whole bytes on both sides; there are fewer ranges only if
-    there are fewer conversions, and always one.
-    """
-    blocks = header.blocks
-    if count < 2:
-        return [(0, blocks)]
-    per_chunk = _chunk(header.k)[1]
-    chunks = -(-blocks // per_chunk)
-    count = max(1, min(count, chunks))
-    cuts = [chunks * i // count * per_chunk for i in range(count)] + [blocks]
-    return list(zip(cuts, cuts[1:]))
-
-
-def frame_ranges(data: bytes, header: StreamHeader, count: int) -> list[tuple[int, int, int]]:
-    """:func:`block_ranges` of a framed stream, each with the byte offset of its first frame.
-
-    The offsets come from the frame heads before the last cut, and no payload
-    is decoded.  Knuth and BASELINE_FL frames all have one size, so their
-    offsets are products and their heads are checked by one strided compare
-    per varint byte; other schemes' heads are walked one by one.  If a head
-    there is not one the scheme makes, or the stream ends before the last
-    cut, the stream is one range, whose decode raises the error.
-    """
-    ranges, whole = block_ranges(header, count), [(0, header.blocks, HEADER_SIZE)]
-    if len(ranges) < 2:
-        return whole
-    codec = BlockCodec(header.k, header.scheme)
-    max_bits = header.k + codec.max_prefix
-    varint = encode_varint(max_bits)
-    if not codec.prefix_less:  # one frame size: cuts by arithmetic, heads by strided compares
-        step = len(varint) + (max_bits + 7) // 8
-        offsets = [HEADER_SIZE + first * step for first, _ in ranges]
-        cut, offset = ranges[-1][0], offsets[-1]
-        if any(data[HEADER_SIZE + i : offset : step] != varint[i : i + 1] * cut
-               for i in range(len(varint))):
-            return whole
-    else:
-        body = {n: (n + 7) // 8 for n in range(header.k, max_bits + 1)}
-        offsets, offset, index = [HEADER_SIZE], HEADER_SIZE, 0
-        try:
-            for first, _ in ranges[1:]:
-                offset = _skip_frames(data, offset, first - index, body, len(varint))
-                offsets.append(offset)
-                index = first
-        except (IndexError, KeyError, StreamCorruptError):
-            return whole
-    if offset >= len(data):
-        return whole
-    return [(first, last, offset) for (first, last), offset in zip(ranges, offsets)]
-
-
-def _skip_frames(data: bytes, offset: int, count: int, body: dict[int, int], max_varint: int,
-                 cuts: list[int] | None = None, short: int | None = None) -> int:
-    """The offset ``count`` frames after ``offset``, a frame being a varint n and ``body[n]`` bytes.
-
-    ``cuts`` gets the offset after each frame of ``short`` bits.  A head that
-    is not one the scheme makes raises IndexError, KeyError or
-    StreamCorruptError; a body is not read, so it may end past the data.
+    ``cuts`` gets the offset after each frame of ``short`` bits.  A head not
+    in ``body`` raises KeyError, and data that ends at a head IndexError; a
+    body is not read, so it may end past the data.
     """
     for _ in range(count):
-        bit_length = data[offset]  # one-byte varints skip the call
-        if bit_length < 0x80:
-            offset += 1
-        else:
-            bit_length, offset = decode_varint(data, offset, max_varint)
-        offset += body[bit_length]
+        bit_length = data[offset]
+        offset += 1 + body[bit_length]
         if bit_length == short:
             cuts.append(offset)
     return offset
 
 
-def frame_range(data: bytes, header: StreamHeader, first: int, last: int) -> bytearray:
-    """The stream's bytes for blocks ``first`` to ``last`` (exclusive) of ``data``.
-
-    The range from block 0 starts with the header, so the ranges of
-    :func:`block_ranges` joined in order are the stream.  ``data`` is taken
-    as :func:`input_header` checked it.
-    """
-    k = header.k
-    codec = BlockCodec(k, header.scheme)
-    if in_lanes(k):
-        return _frame_lanes(data, b"" if first else header.pack(), codec, first, last)
-    out = bytearray(b"" if first else header.pack())
-    # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
-    shapes = []
-    for n in range(k, k + codec.max_prefix + 1):
-        varint, body = encode_varint(n), (n + 7) // 8
-        head = int.from_bytes(varint, "big") << 8 * body
-        shapes.append((head, len(varint) + body, 8 * body - n))
-    encode, mask = codec.encode, (1 << k) - 1
-    size, per_chunk = _chunk(k)
-    shifts = range(8 * size - k, -1, -k)
-    for start in range(first, last, per_chunk):
-        chunk = data[start * k // 8 : start * k // 8 + size]
-        group = int.from_bytes(chunk, "big") << 8 * (size - len(chunk))
-        for shift in shifts[: last - start]:
-            packet, p = encode(group >> shift & mask)
-            head, nbytes, slack = shapes[p]
-            out += (head | packet << slack).to_bytes(nbytes, "big")
-    return out
-
-
-def _frame_lanes(data: bytes, head: bytes, codec: BlockCodec, first: int,
-                 last: int) -> bytearray:
-    """:func:`frame_range` for k a multiple of 8 up to ``LANE_K_MAX``, ``LANE_BLOCKS`` at a time.
+def _frame_lanes(data: bytes, head: bytes, codec: BlockCodec, blocks: int) -> bytearray:
+    """:func:`frame_bytes` for k a multiple of 8 up to ``LANE_K_MAX``, ``LANE_BLOCKS`` at a time.
 
     The output is sized for the longest frames and cut to the bytes written.
     """
     width = codec.k // 8
-    out = bytearray(len(head) + (last - first) * (width + 2))
+    out = bytearray(len(head) + blocks * (width + 2))
     out[: len(head)] = head
     pos = len(head)
-    for start in range(first, last, LANE_BLOCKS):
-        count = min(LANE_BLOCKS, last - start)
+    for start in range(0, blocks, LANE_BLOCKS):
+        count = min(LANE_BLOCKS, blocks - start)
         chunk = data[start * width : (start + count) * width]  # short in a ragged last block only
         pos = _lane_frames(out, pos, chunk.ljust(count * width, b"\0"), count, codec)
     del out[pos:]
@@ -346,8 +249,8 @@ def _lane_blocks(out: bytearray, data: bytes, offset: int, count: int, codec: Bl
         sizes = {n: (n + 7) // 8 for n in range(k, k + codec.max_prefix + 1)}
         cuts = [offset]
         try:
-            end = _skip_frames(data, offset, count, sizes, 1, cuts, k)
-        except (IndexError, KeyError, StreamCorruptError):
+            end = _skip_frames(data, offset, count, sizes, cuts, k)
+        except (IndexError, KeyError):
             return None
         cuts.append(end)
         lanes = bytearray(b"\0").join([data[a:b] for a, b in zip(cuts, cuts[1:])])
@@ -409,19 +312,40 @@ def frame_bytes(data: bytes, k: int, scheme: Scheme, pad_mode: bool = False,
     The stream is returned as the ``bytearray`` it was built in, not copied.
     """
     header = input_header(data, k, scheme, pad_mode, bit_count)
-    return frame_range(data, header, 0, header.blocks)
+    codec, blocks = BlockCodec(k, scheme), header.blocks
+    if in_lanes(k):
+        return _frame_lanes(data, header.pack(), codec, blocks)
+    out = bytearray(header.pack())
+    # per prefix length p: varint of k + p shifted over the body, frame bytes, slack bits
+    shapes = []
+    for n in range(k, k + codec.max_prefix + 1):
+        varint, body = encode_varint(n), (n + 7) // 8
+        head = int.from_bytes(varint, "big") << 8 * body
+        shapes.append((head, len(varint) + body, 8 * body - n))
+    encode, mask = codec.encode, (1 << k) - 1
+    size, per_chunk = _chunk(k)
+    shifts = range(8 * size - k, -1, -k)
+    for start in range(0, blocks, per_chunk):
+        chunk = data[start * k // 8 : start * k // 8 + size]
+        group = int.from_bytes(chunk, "big") << 8 * (size - len(chunk))
+        for shift in shifts[: blocks - start]:
+            packet, p = encode(group >> shift & mask)
+            head, nbytes, slack = shapes[p]
+            out += (head | packet << slack).to_bytes(nbytes, "big")
+    return out
 
 
-def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
-                  offset: int) -> bytearray:
-    """The payload bytes of blocks ``first`` to ``last`` (exclusive), framed from ``offset`` on.
+def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
+    """Decode a framed byte stream to its payload, zero-filled to whole bytes, and bit count.
 
-    Errors name the packet by its index in the stream.  The range that ends
-    at the last block also checks the stream's end: no data after the last
-    frame, a zero pad fill, and it drops the zero fill past the payload's
-    last byte.  So the ranges of :func:`frame_ranges` joined in order are the
-    payload.
+    Only the exact output of :func:`frame_bytes` is accepted: one frame per
+    block, minimal varints, zero slack bits and zero pad fill, and no data
+    after the last frame.  Errors name the packet by its index in the stream.
+    The output grows chunk by chunk (see :func:`_chunk`), never sized from
+    the header's claim, and is returned as the ``bytearray`` it was built
+    in, not copied.
     """
+    header = StreamHeader.unpack(data)
     k, payload = header.k, header.payload_bit_count
     codec = BlockCodec(k, header.scheme)
     decode, max_bits = codec.decode, k + codec.max_prefix  # the longest packet
@@ -430,7 +354,7 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
     shapes = {n: ((n + 7) // 8, -n % 8, (1 << -n % 8) - 1, n - k)
               for n in range(k, max_bits + 1)}
     size, per_chunk = _chunk(k)
-    frames, end = header.blocks, len(data)
+    frames, end, offset = header.blocks, len(data), HEADER_SIZE
     lanes = in_lanes(k)
     one_shape = not (codec.prefix_less or lanes)
     if one_shape:  # every frame max_bits long: a chunk's heads and slack bits are one pattern
@@ -443,8 +367,8 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
         packets = range(8 * (span - step) + slack, -1, -8 * step)  # the shift of each packet
     walk = LANE_BLOCKS if lanes else per_chunk
     out = bytearray()
-    for start in range(first, last, walk):
-        count = min(walk, last - start)
+    for start in range(0, frames, walk):
+        count = min(walk, frames - start)
         if lanes:  # else frame by frame
             walked = _lane_blocks(out, data, offset, count, codec)
             if walked is not None:
@@ -488,28 +412,14 @@ def deframe_range(data: bytes, header: StreamHeader, first: int, last: int,
                 raise StreamCorruptError(f"packet {index}: {exc}", packet_index=index) from exc
             group = group << k | x
         out += (group << -count * k % 8).to_bytes(-(-count * k // 8), "big")
-    if last < frames:
-        return out
     if offset < end:
         raise StreamCorruptError(
             f"packet {frames}: data after the last of {frames} frames", packet_index=frames
         )
     if payload % k and group & ((1 << k - payload % k) - 1):  # the last packet's fill
         raise StreamCorruptError(f"packet {frames - 1}: nonzero pad fill", packet_index=frames - 1)
-    del out[-(-payload // 8) - first * k // 8:]  # the zero fill of a short last block
-    return out
-
-
-def deframe_bytes(data: bytes) -> tuple[bytearray, int]:
-    """Decode a framed byte stream to its payload, zero-filled to whole bytes, and bit count.
-
-    Only the exact output of :func:`frame_bytes` is accepted: one frame per
-    block, minimal varints, zero slack bits and zero pad fill.  The output
-    grows chunk by chunk (see :func:`_chunk`), never sized from the header's
-    claim, and is returned as the ``bytearray`` it was built in, not copied.
-    """
-    header = StreamHeader.unpack(data)
-    return deframe_range(data, header, 0, header.blocks, HEADER_SIZE), header.payload_bit_count
+    del out[-(-payload // 8):]  # the zero fill of a short last block
+    return out, payload
 
 
 def frame_stream(bits: str, k: int, scheme: Scheme, pad_mode: bool = False) -> bytearray:

@@ -1,7 +1,6 @@
 """Where the time of a cold ``balpack`` call goes, piece by piece.
 
-Usage: python tools/coldcall.py [--scheme NAME] [--k K] [--bytes N] [--runs N] [--cpus N]
-                                [--against DIR]
+Usage: python tools/coldcall.py [--scheme NAME] [--k K] [--bytes N] [--runs N] [--against DIR]
        python tools/coldcall.py --what TABLE [--runs N] [--against DIR]
 
 Each run encodes a seeded random file of ``--bytes`` bytes through
@@ -18,21 +17,18 @@ median over ``--runs`` runs, in µs, of:
   ``n/a`` for a call that never builds it, as a lane-coded one;
 - ``lanes``: the lane walks, inside ``codec``: the time spent in
   ``stream._lane_frames`` (encode) or ``stream._lane_blocks`` (decode),
-  summed over every walk of the calling process (the children of a split
-  call code their ranges unseen); ``n/a`` for a call that runs no walk, as
-  one at a k the lanes do not code;
+  summed over every walk; ``n/a`` for a call that runs no walk, as one at a
+  k the lanes do not code;
 - ``gc_passes`` and ``gc_us``: the cyclic garbage collector's passes that
   start before ``main`` returns, as a count and in µs, inside whichever
   piece made them;
-- ``codec``: the first ``cli._coded``, which codes the block ranges, forks
-  and reaps (``frame_bytes`` / ``deframe_bytes`` in a checkout without it);
-  a decode's search for the cuts falls in ``read``, and walks the frame heads
-  only for the prefix-less schemes (Knuth and BASELINE_FL cuts are products);
+- ``codec``: the first ``frame_bytes`` (encode) or ``deframe_bytes``
+  (decode) the CLI calls; a decode's early header check falls in ``read``;
 - ``write``: writing the output file;
 - ``call``: ``main`` as a whole;
-- ``cpu``: user plus system time during ``main`` of the process and of the
-  children it reaped (``getrusage``, which counts what ``os.times()`` does
-  in µs rather than clock ticks), so a split call shows the CPU it adds.
+- ``cpu``: user plus system time of the process during ``main``
+  (``getrusage``, which counts what ``os.times()`` does in µs rather than
+  clock ticks).
 
 ``--what TABLE`` times a cold ``balpack tables --what TABLE --k-list
 4,8,...,2048`` instead, the call and k list the benchmark makes, with its
@@ -47,15 +43,6 @@ for both, their ratio (this checkout over DIR's) and the runs this checkout
 was faster in.  Both checkouts' sources are byte-compiled first: under
 ``PYTHONDONTWRITEBYTECODE`` a checkout without ``__pycache__`` would compile
 them in every run, and its ``import`` would time the compiler.
-
-``--cpus N`` keeps this checkout's encode and decode calls to the first N CPUs
-they may run on (``os.sched_setaffinity`` in the fresh interpreter, before
-``main``), as ``taskset`` would; DIR's calls keep every CPU.  ``--cpus 1``
-thus codes in one process what the CLI would split over CPUs, and against a
-copy whose ``cli.MIN_WORK_PER_WORKER`` is 1 it times the serial call against
-a forced 2-way split on two CPUs, the break-even table of README, Performance:
-
-    python tools/coldcall.py --cpus 1 --against DIR --scheme knuth --k 16 --bytes 262144
 
 Check the pairing before reading a ratio: ``--against`` on an identical copy
 of this checkout (a ``git archive`` of the same commit) should read about
@@ -85,16 +72,15 @@ TABLE_PIECES = ("import", "parse", "call", "cpu")
 TABLES = ("table1", "nlambda", "fig2", "fig3")
 TABLE_K_LIST = ",".join(str(4 << i) for i in range(10))  # 4, 8, ..., 2048
 
-#: One cold call: ``python -c CHILD SRC_DIR STDOUT_FILE CPUS CLI_ARGS...``; prints one JSON
-#: object of pieces, with the call's standard output sent to STDOUT_FILE.  CPUS > 0 keeps
-#: the call to the first CPUS CPUs it may run on.
+#: One cold call: ``python -c CHILD SRC_DIR STDOUT_FILE CLI_ARGS...``; prints one JSON
+#: object of pieces, with the call's standard output sent to STDOUT_FILE.
 CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 start = time.perf_counter()
 import balpack.cli as cli
 imported = time.perf_counter()
-import gc, json, os, resource
+import gc, json, resource
 from balpack import stream, subsets
 
 spans = {}  # piece: [(entry, exit) of each call]
@@ -110,27 +96,23 @@ def timed(module, name, piece):
             spans.setdefault(piece, []).append((begun, time.perf_counter()))
     setattr(module, name, wrapper)
 
-command = sys.argv[4]
+command = sys.argv[3]
 timed(cli, f"_cmd_{command}", "handler")
 if command in ("encode", "decode"):
-    timed(cli, "_coded" if hasattr(cli, "_coded")
-          else "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
+    timed(cli, "frame_bytes" if command == "encode" else "deframe_bytes", "codec")
     timed(cli, "_write", "write")
     timed(subsets, "_build_byte_span", "byte_table")
     timed(stream, "_lane_frames" if command == "encode" else "_lane_blocks", "lanes")
 def cpu_s():
-    own, reaped = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
-                                                       resource.RUSAGE_CHILDREN))
-    return own.ru_utime + own.ru_stime + reaped.ru_utime + reaped.ru_stime
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    return own.ru_utime + own.ru_stime
 
 passes = []
 gc.callbacks.append(lambda phase, info: passes.append(time.perf_counter()))
-if int(sys.argv[3]):
-    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[3])])
 stdout, sys.stdout = sys.stdout, open(sys.argv[2], "w")
 cpu_begun = cpu_s()
 begun = time.perf_counter()
-status = cli.main(sys.argv[4:])
+status = cli.main(sys.argv[3:])
 ended = time.perf_counter()
 cpu = cpu_s() - cpu_begun
 sys.stdout.close()
@@ -158,11 +140,10 @@ print(json.dumps({
 """
 
 
-def cold_call(root: Path, argv: list[str], stdout: str = os.devnull,
-              cpus: int = 0) -> dict[str, float | None]:
+def cold_call(root: Path, argv: list[str], stdout: str = os.devnull) -> dict[str, float | None]:
     """The pieces of one ``balpack`` call in a fresh interpreter importing root/src/balpack."""
-    result = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), stdout, str(cpus),
-                             *argv], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", CHILD, str(root / "src"), stdout, *argv],
+                            capture_output=True, text=True)
     if result.returncode != 0:
         raise SystemExit(f"{root}: balpack {' '.join(argv)}: {result.stderr.strip()}")
     pieces = json.loads(result.stdout.splitlines()[-1])
@@ -170,12 +151,12 @@ def cold_call(root: Path, argv: list[str], stdout: str = os.devnull,
             for piece, value in pieces.items()}
 
 
-def round_trip(root: Path, work: Path, scheme: str, k: int, data: Path, cpus: int = 0):
-    """Encode and decode pieces of one run of the checkout at root, on ``cpus`` CPUs if > 0."""
+def round_trip(root: Path, work: Path, scheme: str, k: int, data: Path):
+    """Encode and decode pieces of one run of the checkout at root."""
     stream, out = work / "stream.bpk", work / "out.bin"
     encode = cold_call(root, ["encode", "--scheme", scheme, "--k", str(k), "--pad",
-                              str(data), str(stream)], cpus=cpus)
-    decode = cold_call(root, ["decode", str(stream), str(out)], cpus=cpus)
+                              str(data), str(stream)])
+    decode = cold_call(root, ["decode", str(stream), str(out)])
     if out.read_bytes() != data.read_bytes():
         raise SystemExit(f"{root}: the round trip changed the input")
     return encode, decode
@@ -209,12 +190,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="a second checkout to time in the same rounds")
     parser.add_argument("--what", choices=TABLES,
                         help="time a cold tables call of this table instead of a round trip")
-    parser.add_argument("--cpus", type=int, default=0, metavar="N",
-                        help="run this checkout's encode and decode calls on the first N CPUs "
-                             "they may use (default: all; --against DIR's calls always use all)")
     args = parser.parse_args(argv)
-    if args.cpus < 0:
-        parser.error("--cpus must be 0 (all) or more")
     roots = [Path(__file__).resolve().parent.parent]
     if args.what:
         digests = json.loads((roots[0] / "perfbench" / "digests.json").read_text())
@@ -234,8 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         for run in range(args.runs):
             for side in range(len(roots))[:: 1 if run % 2 == 0 else -1]:
                 calls = (table_call(roots[side], work, args.what, digest) if args.what else
-                         round_trip(roots[side], work, args.scheme, args.k, data,
-                                    args.cpus if side == 0 else 0))
+                         round_trip(roots[side], work, args.scheme, args.k, data))
                 for step, pieces in enumerate(calls):
                     runs[side][step].append(pieces)
     if args.what:
@@ -244,8 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         sides, shown = ["tables"], TABLE_PIECES
     else:
         print(f"{args.scheme} k = {args.k}, {args.bytes} bytes, medians of {args.runs} "
-              f"fresh processes per call, µs" + (f", this checkout on {args.cpus} CPUs"
-                                                   if args.cpus else ""))
+              f"fresh processes per call, µs")
         sides, shown = ["encode", "decode"], PIECES
     print("piece", *(side if len(roots) == 1 else f"{side} against ratio wins" for side in sides))
     for piece in shown:
