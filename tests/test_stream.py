@@ -44,6 +44,7 @@ from balpack.stream import (
     encode_varint,
     frame_bytes,
     frame_stream,
+    in_lanes,
 )
 from balpack.invariants import selfcheck
 from balpack.subsets import BlockCodec, Scheme, ceil_log2, prefix_length
@@ -1135,14 +1136,19 @@ def test_cli_decode_refuses_a_misaligned_payload_from_the_header(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k, size", [(16, 256 << 10), (1024, 512 << 10)])
-def test_cli_codes_a_file_in_one_process_on_any_number_of_cpus(tmp_path, monkeypatch, k, size):
-    """On four CPUs, 256 and 512 KiB files code in this process: the CLI never forks."""
+def one_process(monkeypatch) -> None:
+    """Make the CLI see four CPUs and fail the test if it forks."""
     def no_fork():
         raise AssertionError("the CLI forked")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.parametrize("k, size", [(16, 256 << 10), (1024, 512 << 10)])
+def test_cli_codes_a_file_in_one_process_on_any_number_of_cpus(tmp_path, monkeypatch, k, size):
+    """On four CPUs, 256 and 512 KiB files code in this process: the CLI never forks."""
+    one_process(monkeypatch)
     src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
     data = random.Random(size).randbytes(size)
     src.write_bytes(data)
@@ -1260,6 +1266,143 @@ def flipped(stream: bytes, *places: tuple[int, int]) -> bytes:
     for at, mask in places:
         corrupt[at] ^= mask
     return bytes(corrupt)
+
+
+def ragged_input(k: int, blocks: int, seed: int) -> bytes:
+    """Random bytes that end in a partial block, ``blocks`` blocks with it."""
+    return random.Random(seed).randbytes(((blocks - 1) * k + k // 2 + 7) // 8)
+
+
+def assert_cli_codes_as_the_library(tmp_path, data: bytes, name: str, k: int, pad: bool) -> None:
+    """The CLI writes ``frame_bytes``'s stream of ``data`` and decodes it back to ``data``."""
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    src.write_bytes(data)
+    argv = ["encode", "--scheme", name, "--k", str(k), *(["--pad"] if pad else []),
+            str(src), str(enc)]
+    assert main(argv) == 0
+    assert enc.read_bytes() == frame_bytes(data, k, SCHEME_NAMES[name], pad)
+    assert main(["decode", str(enc), str(out)]) == 0
+    assert out.read_bytes() == data
+
+
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("k", [4, 6, 16, 18, 1024])
+@pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
+def test_cli_streams_and_outputs_match_the_library(tmp_path, monkeypatch, name, k, pad):
+    """Files of many int conversions and lane walks, whole or ragged, code as the library does."""
+    one_process(monkeypatch)
+    blocks = 3 * 16 * 33  # 33 int conversions at k = 16, and two lane walks
+    data = ragged_input(k, blocks, k) if pad else random.Random(k).randbytes(blocks * k // 8)
+    assert_cli_codes_as_the_library(tmp_path, data, name, k, pad)
+
+
+@pytest.mark.parametrize("k", [4, 16, 1024])  # the byte walk at 4 and 1024, lanes at 16
+@pytest.mark.parametrize("name", sorted(SCHEME_NAMES))
+def test_cli_codes_files_a_block_apart_as_the_library(tmp_path, monkeypatch, name, k):
+    """Files a block either side of a walk's end, on it and past two walks code alike."""
+    one_process(monkeypatch)
+    walk = LANE_BLOCKS if in_lanes(k) else _chunk(k)[1]
+    for blocks in (walk - 1, walk, walk + 1, 2 * walk + 1):
+        data = random.Random(f"{name}/{k}/{blocks}").randbytes(-(-blocks * k // 8))
+        assert_cli_codes_as_the_library(tmp_path, data, name, k, True)
+
+
+def library_outcome(stream: bytes) -> tuple:
+    """The payload ``deframe_bytes`` decodes from ``stream``, or its error's class, text and index."""
+    try:
+        return ("ok", deframe_bytes(stream)[0])
+    except (StreamCorruptError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "packet_index", None), False)
+
+
+def decode_outcome(stream: bytes, tmp_path: Path) -> tuple:
+    """The output of decoding ``stream`` through the CLI, or its error's class, text and index.
+
+    The last item of an error's outcome says whether the CLI left an output file.
+    """
+    enc, out = tmp_path / "outcome.bpk", tmp_path / "outcome.out"
+    enc.write_bytes(stream)
+    out.unlink(missing_ok=True)
+    try:
+        cli._cmd_decode(str(enc), str(out))
+    except (StreamCorruptError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "packet_index", None), out.exists())
+    return ("ok", out.read_bytes())
+
+
+def mutations(stream: bytes, rng: random.Random):
+    """Corrupt copies of ``stream``: named cases at its start, middle and end, then random flips."""
+    first, middle, last = HEADER_SIZE + 2, HEADER_SIZE + (len(stream) - HEADER_SIZE) // 2, -2
+    yield stream[:-1]  # the last frame truncated
+    yield stream + b"\x00"  # data after the last frame
+    yield stream[:middle] + stream[middle + 1:]  # a byte deleted in the middle
+    for at in (first, HEADER_SIZE, middle, last):
+        for mask in (0x01, 0x80):
+            yield flipped(stream, (at, mask))
+    yield flipped(stream, (first, 0x01), (last, 0x01))  # two bad packets: the first is named
+    yield flipped(stream, (middle, 0x01), (last, 0x01))
+    for _ in range(12):
+        yield flipped(stream, *((rng.randrange(HEADER_SIZE, len(stream)), 1 << rng.randrange(8))
+                                for _ in range(rng.randint(1, 3))))
+
+
+@pytest.mark.parametrize("name,k", [(name, k) for name in sorted(SCHEME_NAMES) for k in (4, 16)])
+def test_cli_decode_errors_match_the_library(tmp_path, monkeypatch, name, k):
+    """Mutated streams give the library's error class, message and packet index, and no output."""
+    one_process(monkeypatch)
+    data = ragged_input(k, 64 * 3 * 8, k)
+    stream = bytes(frame_bytes(data, k, SCHEME_NAMES[name], pad_mode=True))
+    rng = random.Random(f"{name}/{k}")
+    failed = 0
+    for corrupt in mutations(stream, rng):
+        outcome = decode_outcome(corrupt, tmp_path)
+        assert outcome == library_outcome(corrupt)
+        failed += outcome[0] is StreamCorruptError
+    assert failed >= 10
+
+
+@pytest.mark.parametrize("scheme,k", [(Scheme.PROPOSED_VL, 16), (Scheme.KNUTH, 16),
+                                      (Scheme.KNUTH, 1024), (Scheme.BASELINE_FL, 16),
+                                      (Scheme.BASELINE_FL, 1024)])
+def test_irregular_streams_are_rejected(tmp_path, monkeypatch, scheme, k):
+    """A bad frame head, a varint that is not minimal or a stream cut short is corrupt.
+
+    Knuth and BASELINE_FL frames all have one size, so their decoder checks
+    the heads without reading a varint; it must reject the same streams.
+    """
+    one_process(monkeypatch)
+    data = random.Random(3).randbytes(4096)
+    stream = bytes(frame_bytes(data, k, scheme))
+    offsets = _frame_offsets(stream)
+    cut = offsets[3 * len(offsets) // 4]
+    before = offsets[3 * len(offsets) // 4 - 1]  # a frame head late in the stream
+    bad = [stream[:16] + b"\x7f" + stream[17:],  # a 127-bit frame
+           stream[:16] + b"\x91\x00" + stream[18:],  # a varint that is not minimal
+           stream[:2000], stream[:cut],
+           flipped(stream, (before, 0x80))]
+    if k == 1024:  # two-byte varints: a corrupt second byte, early and late
+        bad += [flipped(stream, (offsets[1] + 1, 0x01)), flipped(stream, (before + 1, 0x01))]
+    for corrupt in bad:
+        outcome = library_outcome(corrupt)
+        assert outcome[0] is StreamCorruptError, outcome
+        assert decode_outcome(corrupt, tmp_path) == outcome
+
+
+def test_cli_interrupt_leaves_no_output_and_restores_the_collector(tmp_path, monkeypatch):
+    """An interrupt mid-decode propagates, writes no output and turns the collector back on."""
+    one_process(monkeypatch)
+    src, enc, out = tmp_path / "input.bin", tmp_path / "stream.bpk", tmp_path / "output.bin"
+    src.write_bytes(random.Random(9).randbytes(4096))
+    assert main(["encode", "--scheme", "knuth", "--k", "16", str(src), str(enc)]) == 0
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "deframe_bytes", interrupted)
+    assert gc.isenabled()
+    with pytest.raises(KeyboardInterrupt):
+        main(["decode", str(enc), str(out)])
+    assert gc.isenabled() and not out.exists()
 
 
 def test_cli_decode_corrupt_stream(tmp_path, capsys):
